@@ -69,6 +69,8 @@ class RunConfig:
     out: str = "gwmc"
 
     def __post_init__(self):
+        if self.width < 1 or self.height < 1:
+            raise ConfigError(f"lattice dimensions must be positive, got {self.width}x{self.height}")
         if self.engine not in ENGINES:
             raise ConfigError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if self.workers == 0:
@@ -219,6 +221,8 @@ class SweepConfig:
             raise ConfigError("sweep needs a non-empty value list")
         if self.trajectories < 1:
             raise ConfigError("trajectories must be positive")
+        if self.param == "size" and not all(float(v).is_integer() and v >= 1 for v in self.values):
+            raise ConfigError(f"sizes must be positive integers, got {self.values}")
 
     def point_config(self, value) -> RunConfig:
         if self.param == "jy":
@@ -442,7 +446,8 @@ def main(argv=None) -> int:
             raw_values = args.values or file_kv.get("values")
             if raw_values is None:
                 raise ConfigError("sweep needs --values")
-            trajectories = args.trajectories or int(file_kv.get("trajectories", "1"))
+            trajectories = (args.trajectories if args.trajectories is not None
+                            else int(file_kv.get("trajectories", "1")))
             sweep = SweepConfig(
                 base=_config_from_args(args),
                 param=param,

@@ -109,56 +109,49 @@ def min_image_displacement(geometry: LatticeGeometry, i: int, j: int) -> Displac
     return DisplacementClass(dx, dy, float(np.hypot(dx, dy)), pair_count=1)
 
 
-def _class_keys(geometry: LatticeGeometry) -> np.ndarray:
-    """(n, n, 2) canonical class key |dx|, |dy| for every ordered site pair.
+def offset_class_index(geometry: LatticeGeometry) -> tuple[list[DisplacementClass], np.ndarray]:
+    """Partition the torus offsets into displacement classes, in O(n).
 
-    Sign flips are always quotiented out. The x<->y swap is a lattice symmetry
-    only for square lattices, where keys are additionally sorted so the
-    canonical representative has dx >= dy.
+    The class of an ordered pair i -> j depends only on its offset
+    (row_j - row_i mod height, col_j - col_i mod width), keyed by the
+    minimum-image |dx|, |dy|; on square lattices the key is also sorted so
+    that dx >= dy (the x<->y swap is a symmetry only there).
+
+    Returns the class list (sorted by distance, then dx, then dy; counts are
+    ordered pairs) and a (height, width) map from offset to class index,
+    with -1 at the zero offset.
     """
-    idx = np.arange(geometry.n_sites)
-    col = idx % geometry.width
-    row = idx // geometry.width
-    adx = np.abs(_wrap(col[None, :] - col[:, None], geometry.width))
-    ady = np.abs(_wrap(row[None, :] - row[:, None], geometry.height))
-    if geometry.width == geometry.height:
-        hi = np.maximum(adx, ady)
-        lo = np.minimum(adx, ady)
-        adx, ady = hi, lo
-    return np.stack([adx, ady], axis=-1)
+    width, height = geometry.width, geometry.height
+    adx = np.abs(_wrap(np.arange(width), width))[None, :]
+    ady = np.abs(_wrap(np.arange(height), height))[:, None]
+    if width == height:
+        adx, ady = np.maximum(adx, ady), np.minimum(adx, ady)
+    keys = np.stack(np.broadcast_arrays(adx, ady), axis=-1).reshape(-1, 2)
+    uniq, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    # by distance, then dx, then dy; the zero offset sorts first and gets no class
+    order = np.lexsort((uniq[:, 1], uniq[:, 0], np.hypot(uniq[:, 0], uniq[:, 1])))[1:]
+    remap = np.full(len(uniq), -1, dtype=np.int64)
+    remap[order] = np.arange(len(order))
+    classes = [DisplacementClass(int(x), int(y), float(np.hypot(x, y)), geometry.n_sites * int(c))
+               for (x, y), c in zip(uniq[order], counts[order])]
+    return classes, remap[inverse].reshape(height, width)
 
 
 def pair_class_index(geometry: LatticeGeometry) -> tuple[list[DisplacementClass], np.ndarray]:
     """Partition all ordered pairs i != j into displacement classes.
 
-    Returns the class list (sorted by distance, then dx, then dy) and an
-    (n, n) int array mapping each ordered pair to its class index, with -1 on
-    the diagonal (the self-pair class is excluded).
+    Returns the classes of :func:`offset_class_index` and the (n, n) map from
+    ordered pair to class index, -1 on the diagonal. The map takes O(n^2)
+    memory and serves inspection and tests; the estimators use the offset map.
     """
-    keys = _class_keys(geometry)
-    n = geometry.n_sites
-    flat = keys.reshape(n * n, 2)
-    uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
-    class_id = inverse.reshape(n, n).astype(np.int64)
-
-    counts = np.bincount(inverse, minlength=len(uniq))
-    order_key = [(float(np.hypot(x, y)), int(x), int(y)) for x, y in uniq]
-    order = sorted(range(len(uniq)), key=lambda k: order_key[k])
-    # drop the (0,0) self class, re-map ids into sorted order
-    remap = np.full(len(uniq), -1, dtype=np.int64)
-    classes: list[DisplacementClass] = []
-    for k in order:
-        x, y = int(uniq[k, 0]), int(uniq[k, 1])
-        if x == 0 and y == 0:
-            continue
-        remap[k] = len(classes)
-        classes.append(DisplacementClass(x, y, float(np.hypot(x, y)), int(counts[k])))
-    return classes, remap[class_id]
+    classes, offset_id = offset_class_index(geometry)
+    row, col = np.divmod(np.arange(geometry.n_sites), geometry.width)
+    return classes, offset_id[(row - row[:, None]) % geometry.height, (col - col[:, None]) % geometry.width]
 
 
 def distance_classes(geometry: LatticeGeometry) -> list[DisplacementClass]:
     """Displacement classes with ordered-pair counts; counts sum to N(N-1)."""
-    classes, _ = pair_class_index(geometry)
+    classes, _ = offset_class_index(geometry)
     return classes
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientDataError
-from .lattice import DisplacementClass, LatticeGeometry, pair_class_index
+from .lattice import DisplacementClass, LatticeGeometry, offset_class_index
 
 
 @dataclass
@@ -126,19 +126,21 @@ class CorrelationProfile:
 
 
 def correlation_series(samples, geometry: LatticeGeometry) -> tuple[list[DisplacementClass], np.ndarray]:
-    """Per-sample per-class mean pair products, shape (n_samples, n_classes)."""
-    classes, class_id = pair_class_index(geometry)
-    counts = np.array([c.pair_count for c in classes], dtype=float)
-    valid = class_id.ravel() >= 0
-    ids = class_id.ravel()[valid]
-    rows = []
-    for s in samples:
-        if s.burn_in:
-            continue
-        sx = s.bloch[:, 0]
-        outer = (sx[:, None] * sx[None, :]).ravel()[valid]
-        rows.append(np.bincount(ids, weights=outer, minlength=len(classes)) / counts)
-    return classes, np.asarray(rows)
+    """Per-sample per-class mean pair products, shape (n_samples, n_classes).
+
+    The pair sum over one offset d is the circular autocorrelation
+    sum_r s(r) s(r + d), taken for all offsets at once by FFT in O(n log n).
+    """
+    classes, offset_id = offset_class_index(geometry)
+    shape = (geometry.height, geometry.width)
+    sx = np.array([s.bloch[:, 0] for s in samples if not s.burn_in]).reshape(-1, *shape)
+    spectrum = np.fft.rfft2(sx)
+    autocorr = np.fft.irfft2(spectrum * spectrum.conj(), s=shape)
+    # bin (sample, class + 1): column 0 collects the zero offset and is dropped
+    m, k = len(sx), len(classes)
+    bins = offset_id.ravel() + 1 + (k + 1) * np.arange(m)[:, None]
+    sums = np.bincount(bins.ravel(), autocorr.ravel(), minlength=m * (k + 1)).reshape(m, k + 1)
+    return classes, sums[:, 1:] / np.array([c.pair_count for c in classes], dtype=float)
 
 
 def correlation_profile(samples, geometry: LatticeGeometry) -> CorrelationProfile:

@@ -106,6 +106,13 @@ class TestRunCommand:
         args = _run_args(tmp_path, "big", engine="fullwfmc", width="6", height="6")
         assert main(["run", *args]) == 1
 
+    @pytest.mark.parametrize("command", ["run", "correlate"])
+    @pytest.mark.parametrize("flag", ["width", "height"])
+    def test_nonpositive_dimensions_exit_code(self, tmp_path, capsys, command, flag):
+        assert main([command, *_run_args(tmp_path, "z", **{flag: "0"})]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.iterdir())
+
     def test_exact_engine_small_system(self, tmp_path):
         args = _run_args(tmp_path, "ex", engine="exact", width="2", height="1",
                          **{"t-total": "10", "burn-in": "2"})
@@ -123,6 +130,19 @@ class TestSweepCommand:
 
     def test_missing_values_flag(self, tmp_path):
         assert main(["sweep", *_run_args(tmp_path, "s")]) == 1
+
+    def test_zero_trajectories_config_error(self, tmp_path, capsys):
+        args = _run_args(tmp_path, "s") + ["--values", "1.2", "--trajectories", "0"]
+        assert main(["sweep", *args]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("values", ["3.7", "3,4.5", "0", "-3"])
+    def test_bad_sizes_config_error(self, tmp_path, capsys, values):
+        args = _run_args(tmp_path, "s") + ["--param", "size", "--values", values]
+        assert main(["sweep", *args]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.iterdir())
 
     def test_rows_and_determinism(self, tmp_path):
         args = _run_args(tmp_path, "s1") + ["--values", "1.2,2.5", "--trajectories", "2"]

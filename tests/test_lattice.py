@@ -6,8 +6,33 @@ from gwmc.lattice import (
     build_lattice,
     distance_classes,
     min_image_displacement,
+    offset_class_index,
     pair_class_index,
 )
+
+SHAPES = [(1, 1), (2, 1), (1, 5), (2, 2), (3, 5), (4, 6), (6, 6), (5, 8)]
+
+
+def brute_force_classes(g):
+    """Class list and (n, n) pair map from min_image_displacement, pair by pair."""
+    keys = {}
+    for i in range(g.n_sites):
+        for j in range(g.n_sites):
+            if i != j:
+                d = min_image_displacement(g, i, j)
+                key = (abs(d.dx), abs(d.dy))
+                if g.width == g.height:
+                    key = (max(key), min(key))
+                keys[i, j] = key
+    counts = {}
+    for key in keys.values():
+        counts[key] = counts.get(key, 0) + 1
+    order = sorted(counts, key=lambda k: (float(np.hypot(*k)), *k))
+    classes = [(x, y, float(np.hypot(x, y)), counts[x, y]) for x, y in order]
+    class_id = np.full((g.n_sites, g.n_sites), -1)
+    for (i, j), key in keys.items():
+        class_id[i, j] = order.index(key)
+    return classes, class_id
 
 
 class TestBuildLattice:
@@ -152,3 +177,16 @@ class TestDistanceClasses:
         assert class_id.max() == len(classes) - 1
         counts = np.bincount(class_id[class_id >= 0], minlength=len(classes))
         assert counts.tolist() == [c.pair_count for c in classes]
+
+    @pytest.mark.parametrize("w,h", SHAPES)
+    def test_offset_map_matches_brute_force(self, w, h):
+        g = build_lattice(w, h)
+        expected_classes, expected_id = brute_force_classes(g)
+        classes, class_id = pair_class_index(g)
+        assert [(c.dx, c.dy, c.distance, c.pair_count) for c in classes] == expected_classes
+        assert np.array_equal(class_id, expected_id)
+        assert distance_classes(g) == classes
+        _, offset_id = offset_class_index(g)
+        assert offset_id.shape == (h, w)
+        assert offset_id[0, 0] == -1
+        assert np.array_equal(class_id[0].reshape(h, w), offset_id)

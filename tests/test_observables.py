@@ -4,12 +4,13 @@ import pytest
 from conftest import random_product_state
 from gwmc.errors import InsufficientDataError
 from gwmc.dynamics import ModelParams
-from gwmc.lattice import build_lattice
+from gwmc.lattice import build_lattice, pair_class_index
 from gwmc.observables import (
     Accumulator,
     Sample,
     batch_means,
     correlation_profile,
+    correlation_series,
     instantaneous_structure_factor,
     magnetization,
     mf_structure_factor,
@@ -28,6 +29,23 @@ def _bloch_samples(sx_rows, burn_in_flags=None):
         flag = False if burn_in_flags is None else burn_in_flags[i]
         samples.append(Sample(float(i), bloch, burn_in=flag))
     return samples
+
+
+def reference_correlation_series(samples, geometry):
+    """O(n^2) pair estimator: the outer product of each sample, binned by the
+    (n, n) pair-class map."""
+    classes, class_id = pair_class_index(geometry)
+    counts = np.array([c.pair_count for c in classes], dtype=float)
+    valid = class_id.ravel() >= 0
+    ids = class_id.ravel()[valid]
+    rows = []
+    for s in samples:
+        if s.burn_in:
+            continue
+        sx = s.bloch[:, 0]
+        outer = (sx[:, None] * sx[None, :]).ravel()[valid]
+        rows.append(np.bincount(ids, weights=outer, minlength=len(classes)) / counts)
+    return classes, np.asarray(rows)
 
 
 class TestMagnetization:
@@ -172,6 +190,18 @@ class TestCorrelationProfile:
         assert {(profile.classes[i].dx, profile.classes[i].dy) for i in axis} == {
             (1, 0), (2, 0), (3, 0)
         }
+
+    @pytest.mark.parametrize("w,h", [(1, 1), (2, 1), (1, 5), (2, 2), (3, 5), (4, 6), (6, 6), (5, 8)])
+    def test_series_matches_pair_reference(self, rng, w, h):
+        g = build_lattice(w, h)
+        flags = [True, True, False, False, True, False, False, False]
+        samples = [Sample(float(i), bloch_vectors(random_product_state(rng, g.n_sites)), burn_in=f)
+                   for i, f in enumerate(flags)]
+        classes, rows = correlation_series(samples, g)
+        ref_classes, ref_rows = reference_correlation_series(samples, g)
+        assert classes == ref_classes
+        assert rows.shape == (5, len(classes))
+        assert np.allclose(rows, ref_rows, rtol=0, atol=1e-12)
 
 
 class TestAccumulator:
