@@ -10,6 +10,7 @@ give byte-identical CSVs, independent of the worker count.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -21,8 +22,10 @@ from . import __version__
 from .dynamics import (
     ModelParams,
     RngStream,
+    RowStreams,
     StepConfig,
     TrajectoryConfig,
+    batch_samples,
     initial_product_state,
     run_trajectory,
 )
@@ -69,6 +72,9 @@ class RunConfig:
     out: str = "gwmc"
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type in (float, "float") and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.width < 1 or self.height < 1:
             raise ConfigError(f"lattice dimensions must be positive, got {self.width}x{self.height}")
         if self.engine not in ENGINES:
@@ -112,16 +118,18 @@ class RunConfig:
         """Build from a flat string mapping; unknown keys are ignored so a
         metadata file can be fed straight back in as a config."""
         kwargs = {
-            f.name: _convert(f.type, mapping[f.name]) for f in fields(cls) if f.name in mapping
+            f.name: _convert(f.name, f.type, mapping[f.name]) for f in fields(cls) if f.name in mapping
         }
         return cls(**kwargs)
 
 
-def _convert(type_name, raw: str):
-    if type_name in (int, "int"):
-        return int(raw)
-    if type_name in (float, "float"):
-        return float(raw)
+def _convert(name: str, type_name, raw: str):
+    for kind in (int, float):
+        if type_name in (kind, kind.__name__):
+            try:
+                return kind(raw)
+            except ValueError:
+                raise ConfigError(f"{name} must be {kind.__name__}, got {raw!r}") from None
     return raw
 
 
@@ -231,32 +239,49 @@ class SweepConfig:
         return replace(self.base, width=size, height=size)
 
 
-def _sweep_task(args):
-    """One (point, trajectory) work unit; returns plain arrays for merging."""
-    cfg, point_idx, traj_idx, stream = args
-    result = run_trajectory(cfg.geometry(), cfg.model(), cfg.trajectory(), cfg.step(), stream=stream)
-    post = result.post_burn_in()
-    sxx = np.array([instantaneous_structure_factor(s.bloch[:, 0]) for s in post])
-    mx_abs = np.array([abs(float(magnetization(s.bloch)[0])) for s in post])
-    return point_idx, traj_idx, sxx, mx_abs
+def _sweep_task(rows):
+    """One chunk of (cfg, point, trajectory, stream) rows that share a lattice,
+    advanced as one batch with a stream per row; returns each row's
+    post-burn-in Sxx_inst and |Mx| series as plain arrays for merging."""
+    cfg = rows[0][0]
+    traj = cfg.trajectory()
+    rng = RowStreams(RngStream(traj.seed, stream).generator() for *_, stream in rows)
+    sxx = [[] for _ in rows]
+    mx_abs = [[] for _ in rows]
+    for t, bloch, _ in batch_samples(cfg.geometry(), [r[0].model() for r in rows], traj, cfg.step(), rng):
+        if t < traj.burn_in:
+            continue
+        for k, b in enumerate(bloch):
+            sxx[k].append(instantaneous_structure_factor(b[:, 0]))
+            mx_abs[k].append(abs(float(magnetization(b)[0])))
+    return [(i, k, np.array(s), np.array(x)) for (_, i, k, _), s, x in zip(rows, sxx, mx_abs)]
 
 
 def run_sweep(sweep: SweepConfig):
-    """Execute all (point, trajectory) tasks and aggregate per point.
+    """Run every (point, trajectory) row and aggregate per point.
 
-    Each task owns stream index point*T + trajectory, so results do not
-    depend on scheduling; aggregation sorts by task index before combining.
+    Rows that share a lattice form one group (a jy sweep is one group, a size
+    sweep one per size); each group is split into at most ``workers``
+    contiguous chunks, one batch each. Row (i, k) owns stream i*T + k, so it
+    is bit-identical to the solo trajectory on that stream and results do not
+    depend on the chunking; aggregation sorts by row before combining.
     """
-    tasks = []
+    workers = sweep.base.workers
+    groups: dict[tuple[int, int], list] = {}
     for i, value in enumerate(sweep.values):
         cfg = sweep.point_config(value)
-        for k in range(sweep.trajectories):
-            tasks.append((cfg, i, k, i * sweep.trajectories + k))
-    if sweep.base.workers > 1:
-        with ProcessPoolExecutor(max_workers=sweep.base.workers) as pool:
-            raw = list(pool.map(_sweep_task, tasks))
+        group = groups.setdefault((cfg.width, cfg.height), [])
+        group.extend((cfg, i, k, i * sweep.trajectories + k) for k in range(sweep.trajectories))
+    chunks = []
+    for group in groups.values():
+        n_chunks = min(workers, len(group))
+        bounds = [len(group) * c // n_chunks for c in range(n_chunks + 1)]
+        chunks.extend(group[a:b] for a, b in zip(bounds, bounds[1:]))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            raw = [r for chunk in pool.map(_sweep_task, chunks) for r in chunk]
     else:
-        raw = [_sweep_task(t) for t in tasks]
+        raw = [r for chunk in chunks for r in _sweep_task(chunk)]
     raw.sort(key=lambda r: (r[0], r[1]))
 
     rows = []
@@ -333,10 +358,10 @@ def cmd_correlate(cfg: RunConfig) -> int:
 # -- mf-curve ----------------------------------------------------------------
 
 def cmd_mf_curve(cfg: RunConfig, values) -> int:
+    params = [ModelParams(cfg.jx, float(jy), cfg.jz, cfg.gamma) for jy in values]
     with open(f"{cfg.out}_mf.csv", "w") as fh:
         fh.write("jy,Sxx_mf\n")
-        for jy in values:
-            p = ModelParams(cfg.jx, float(jy), cfg.jz, cfg.gamma)
+        for jy, p in zip(values, params):
             fh.write(f"{_fmt(jy)},{_fmt(mf_structure_factor(p))}\n")
     meta = _base_meta(cfg, "mf-curve")
     meta["values"] = ",".join(_fmt(v) for v in values)
@@ -447,7 +472,7 @@ def main(argv=None) -> int:
             if raw_values is None:
                 raise ConfigError("sweep needs --values")
             trajectories = (args.trajectories if args.trajectories is not None
-                            else int(file_kv.get("trajectories", "1")))
+                            else _convert("trajectories", int, file_kv.get("trajectories", "1")))
             sweep = SweepConfig(
                 base=_config_from_args(args),
                 param=param,

@@ -14,14 +14,15 @@ snapshot), and renormalizing after the full step. Decay is unraveled by
 first-order jump sampling: per step each site jumps to the down state with
 probability gamma * dt * |amp_up|^2, drawn in fixed site order.
 
-All state-level functions accept leading batch dimensions, so an ensemble of
-m trajectories can be advanced as one (m, n_sites, 2) array with a single
-counter-based random stream.
+All state-level functions accept leading batch dimensions, so m
+trajectories on one lattice are advanced as one (m, n_sites, 2) array by
+:func:`batch_samples`, the one step-and-sample loop, drawing from a single
+counter-based random stream or from one stream per row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,8 +47,25 @@ class ModelParams:
     gamma: float = 1.0
 
     def __post_init__(self):
+        # a coupling may also be an (m, 1) column, one value per batch row
+        if not all(np.isfinite(v).all() for v in (self.jx, self.jy, self.jz, self.gamma)):
+            raise ConfigError(f"couplings and gamma must be finite, got {self}")
         if not self.gamma >= 0:
             raise ConfigError(f"gamma must be non-negative, got {self.gamma}")
+
+
+def _stack_params(params) -> ModelParams:
+    """Couplings of a batch with one row per entry of ``params``: a coupling
+    on which the rows differ becomes an (m, 1) column that broadcasts over
+    the sites of its row. The rows share gamma, the unit of time."""
+    if any(q.gamma != params[0].gamma for q in params):
+        raise ConfigError("the rows of a batch must share gamma")
+    columns = {}
+    for name in ("jx", "jy", "jz"):
+        values = [getattr(q, name) for q in params]
+        if any(v != values[0] for v in values):
+            columns[name] = np.array(values)[:, None]
+    return replace(params[0], **columns)
 
 
 @dataclass(frozen=True)
@@ -71,6 +89,8 @@ class TrajectoryConfig:
     initial_state: str = "plus_x"  # plus_x | minus_x | path to a state snapshot CSV
 
     def __post_init__(self):
+        if not np.isfinite(self.t_total):
+            raise ConfigError(f"t_total must be finite, got {self.t_total}")
         if not 0.0 <= self.burn_in < self.t_total:
             raise ConfigError(f"burn_in must satisfy 0 <= burn_in < t_total, got {self.burn_in}")
         if not self.sample_interval > 0:
@@ -93,19 +113,24 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
+class RowStreams:
+    """One generator per batch row: row k of each (m, n) block of uniforms is
+    filled by generators[k], so it holds exactly the draws a one-row run on
+    that generator would make."""
+
+    def __init__(self, generators):
+        self.generators = list(generators)
+
+    def random(self, size) -> np.ndarray:
+        out = np.empty(size)
+        for gen, row in zip(self.generators, out.reshape(len(self.generators), -1)):
+            gen.random(out=row)
+        return out
+
+
 def mean_fields(amps: np.ndarray, geometry: LatticeGeometry) -> np.ndarray:
     """B_i^alpha = sum over neighbors j of <sigma_j^alpha>, shape (..., n, 3)."""
     return bloch_vectors(amps)[..., geometry.neighbor_table, :].sum(axis=-2)
-
-
-def local_effective_hamiltonian(b, p: ModelParams) -> np.ndarray:
-    """Non-Hermitian 2x2 generator for one site given its mean field (bx,by,bz)."""
-    bx, by, bz = float(b[0]), float(b[1]), float(b[2])
-    off = p.jx * bx - 1j * p.jy * by
-    return np.array(
-        [[p.jz * bz - 0.5j * p.gamma, off], [np.conj(off), -p.jz * bz]],
-        dtype=np.complex128,
-    )
 
 
 def _derivatives(amps: np.ndarray, geometry: LatticeGeometry, p: ModelParams) -> np.ndarray:
@@ -242,6 +267,61 @@ def _steps_per_sample(traj: TrajectoryConfig, step: StepConfig) -> int:
     return max(1, int(round(traj.sample_interval / step.dt)))
 
 
+def batch_samples(
+    geometry: LatticeGeometry,
+    params,
+    traj: TrajectoryConfig,
+    step: StepConfig,
+    rng,
+    totals: np.ndarray | None = None,
+):
+    """Advance one batch row per entry of ``params`` from the configured
+    initial state; yield (t, bloch, jumps) at t = 0 and every sample_interval
+    (rounded to whole steps), with bloch of shape (m, n_sites, 3) and jumps
+    the (m,) jump counts since the previous sample.
+
+    ``rng`` draws each step's (m, n_sites) block of uniforms: a Generator
+    shares one stream over the block, a :class:`RowStreams` gives every row
+    its own, which makes row k bit-identical to a one-row run on its stream.
+
+    A row whose sample is the all-down dark state is trapped: the dark state
+    is exact, so its Bloch vectors freeze at that sample and its later jumps
+    are not counted; once every row is trapped integration stops. ``totals``,
+    if given, receives each row's jump count over the whole horizon,
+    including steps after the last sample.
+    """
+    m = len(params)
+    p = _stack_params(params)
+    amps = initial_product_state(traj, geometry.n_sites)
+    if m > 1:  # a single row keeps no batch axis: small 2-d arrays step ~20% faster
+        amps = np.broadcast_to(amps, (m,) + amps.shape).copy()
+    n_steps = int(round(traj.t_total / step.dt))
+    spp = _steps_per_sample(traj, step)
+
+    bloch = bloch_vectors(amps).reshape(m, -1, 3)
+    trapped = np.zeros(m, dtype=bool)
+    live = True  # some row is not trapped
+    since = np.zeros(m, dtype=np.int64)
+    total = np.zeros(m, dtype=np.int64)
+    yield 0.0, bloch, np.zeros(m, dtype=np.int64)
+    for n in range(1, n_steps + 1):
+        if live:
+            amps, jumped = advance(amps, geometry, p, step, rng)
+            if len(jumped):
+                since += np.bincount(jumped[:, 0], minlength=m) * ~trapped if m > 1 else len(jumped)
+        if n % spp == 0:
+            fresh = bloch_vectors(amps).reshape(m, -1, 3)
+            fresh[trapped] = bloch[trapped]
+            bloch = fresh
+            trapped |= is_dark(bloch)
+            live = not trapped.all()
+            yield n * step.dt, bloch, since
+            total += since
+            since = np.zeros(m, dtype=np.int64)
+    if totals is not None:
+        totals[:] = total + since
+
+
 def run_trajectory(
     geometry: LatticeGeometry,
     p: ModelParams,
@@ -257,29 +337,14 @@ def run_trajectory(
     samples simply repeat the frozen Bloch vectors.
     """
     rng = RngStream(traj.seed, stream).generator()
-    amps = initial_product_state(traj, geometry.n_sites)
-    n_steps = int(round(traj.t_total / step.dt))
-    spp = _steps_per_sample(traj, step)
-
-    bloch = bloch_vectors(amps)
-    samples = [Sample(0.0, bloch, burn_in=0.0 < traj.burn_in, jumps_in_interval=0)]
+    totals = np.zeros(1, dtype=np.int64)
+    samples = []
     trapped_at = None
-    total_jumps = 0
-    jumps_since = 0
-    for n in range(1, n_steps + 1):
-        t = n * step.dt
-        if trapped_at is None:
-            amps, jumped = advance(amps, geometry, p, step, rng)
-            total_jumps += len(jumped)
-            jumps_since += len(jumped)
-        if n % spp == 0:
-            if trapped_at is None:
-                bloch = bloch_vectors(amps)
-                if is_dark(bloch):
-                    trapped_at = t
-            samples.append(Sample(t, bloch, burn_in=t < traj.burn_in, jumps_in_interval=jumps_since))
-            jumps_since = 0
-    return TrajectoryResult(samples, trapped_at, total_jumps, traj.seed, stream)
+    for t, bloch, jumps in batch_samples(geometry, [p], traj, step, rng, totals):
+        if trapped_at is None and is_dark(bloch[0]):
+            trapped_at = t
+        samples.append(Sample(t, bloch[0], burn_in=t < traj.burn_in, jumps_in_interval=int(jumps[0])))
+    return TrajectoryResult(samples, trapped_at, int(totals[0]), traj.seed, stream)
 
 
 def run_ensemble(
@@ -295,22 +360,12 @@ def run_ensemble(
     Returns (times, bloch) with bloch of shape (n_times, n_traj, n_sites, 3),
     sampled on the same cadence as :func:`run_trajectory`. The whole batch
     shares a single counter-based stream (rows stay independent because each
-    step draws one variate per site per trajectory); use run_trajectory with
-    per-trajectory stream indices when scheduling across workers instead.
+    step draws one variate per site per trajectory); use :class:`RowStreams`
+    with :func:`batch_samples` for rows that must match solo trajectories.
     """
     rng = RngStream(traj.seed, stream).generator()
-    single = initial_product_state(traj, geometry.n_sites)
-    amps = np.broadcast_to(single, (n_traj,) + single.shape).copy()
-    n_steps = int(round(traj.t_total / step.dt))
-    spp = _steps_per_sample(traj, step)
-    times = [0.0]
-    blochs = [bloch_vectors(amps)]
-    for n in range(1, n_steps + 1):
-        amps, _ = advance(amps, geometry, p, step, rng)
-        if n % spp == 0:
-            times.append(n * step.dt)
-            blochs.append(bloch_vectors(amps))
-    return np.asarray(times), np.asarray(blochs)
+    samples = list(batch_samples(geometry, [p] * n_traj, traj, step, rng))
+    return np.asarray([t for t, _, _ in samples]), np.asarray([b for _, b, _ in samples])
 
 
 # -- checkpointing ------------------------------------------------------------

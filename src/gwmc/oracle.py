@@ -211,15 +211,6 @@ class DenseLindblad:
         return Sample(t, self.site_bloch(rho), burn_in=t < traj.burn_in, sxx_inst=sxx)
 
 
-def lindblad_rhs(rho: np.ndarray, geometry: LatticeGeometry, p: ModelParams) -> np.ndarray:
-    return DenseLindblad(geometry, p).rhs(rho)
-
-
-def integrate_master_equation(rho0: np.ndarray, geometry: LatticeGeometry, p: ModelParams,
-                              t: float, dt: float = 0.002) -> np.ndarray:
-    return DenseLindblad(geometry, p).integrate(rho0, t, dt)
-
-
 # -- full-Hilbert-space trajectories -------------------------------------------
 
 class FullWfmc:

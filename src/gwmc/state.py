@@ -85,17 +85,15 @@ def norms(amps: np.ndarray) -> np.ndarray:
     return np.sqrt(_abs2(amps[..., 0]) + _abs2(amps[..., 1]))
 
 
-def is_dark(bloch: np.ndarray, tol: float = 1e-12) -> bool:
-    """True when every site is in the down state to within tol.
+def is_dark(bloch: np.ndarray, tol: float = 1e-12):
+    """True when every site is in the down state to within tol; for a batch
+    of shape (..., n_sites, 3), one answer per state.
 
     Checks both transverse components and sz, so transverse-free states that
     still carry up-population (which keep evolving) are not misflagged.
     """
-    return bool(
-        np.all(np.abs(bloch[..., 0]) < tol)
-        and np.all(np.abs(bloch[..., 1]) < tol)
-        and np.all(bloch[..., 2] < -1.0 + tol)
-    )
+    down = (np.abs(bloch[..., 0]) < tol) & (np.abs(bloch[..., 1]) < tol) & (bloch[..., 2] < -1.0 + tol)
+    return down.all(axis=-1)
 
 
 def save_state_csv(path, amps: np.ndarray) -> None:

@@ -113,6 +113,23 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flag,value", [
+        ("jx", "nan"), ("jy", "nan"), ("jy", "inf"), ("jz", "inf"), ("gamma", "nan"), ("t-total", "inf"),
+    ])
+    def test_non_finite_input_exit_code(self, tmp_path, capsys, flag, value):
+        assert main(["run", *_run_args(tmp_path, "nf", **{flag: value})]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("line", ["width = 2.5", "seed = one", "jy = strong"])
+    def test_malformed_config_file_value(self, tmp_path, capsys, line):
+        config = tmp_path / "cfg.txt"
+        config.write_text(line + "\n")
+        args = ["--config", str(config), "--t-total", "5", "--burn-in", "1", "--out", str(tmp_path / "mf")]
+        assert main(["run", *args]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_exact_engine_small_system(self, tmp_path):
         args = _run_args(tmp_path, "ex", engine="exact", width="2", height="1",
                          **{"t-total": "10", "burn-in": "2"})
@@ -137,6 +154,20 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("values", ["nan", "1.2,inf"])
+    def test_non_finite_values_config_error(self, tmp_path, capsys, values):
+        args = _run_args(tmp_path, "s") + ["--values", values]
+        assert main(["sweep", *args]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.iterdir())
+
+    def test_malformed_trajectories_in_config_file(self, tmp_path, capsys):
+        config = tmp_path / "cfg.txt"
+        config.write_text("trajectories = two\nvalues = 1.2\n")
+        assert main(["sweep", *_run_args(tmp_path, "s"), "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == [config]
+
     @pytest.mark.parametrize("values", ["3.7", "3,4.5", "0", "-3"])
     def test_bad_sizes_config_error(self, tmp_path, capsys, values):
         args = _run_args(tmp_path, "s") + ["--param", "size", "--values", values]
@@ -153,13 +184,21 @@ class TestSweepCommand:
         assert all(r.split(",")[1] == "3" for r in rows[1:])
         assert all(r.split(",")[6] == "2" for r in rows[1:])
 
-    def test_worker_count_invariance(self, tmp_path):
-        for name, workers in (("w1", "1"), ("w2", "2")):
-            args = _run_args(tmp_path, name, workers=workers) + [
-                "--values", "1.2,1.8", "--trajectories", "2",
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    @pytest.mark.parametrize("param,values,trajectories,solo_workers", [
+        ("jy", "1.2,1.8", "2", "4"),
+        ("size", "3,4", "3", "3"),
+    ], ids=["jy", "size"])
+    def test_worker_count_invariance(self, tmp_path, workers, param, values, trajectories, solo_workers):
+        # rows sharing a lattice run as batches of contiguous rows, one per
+        # worker (3 workers give uneven chunks); the reference runs one row
+        # per chunk, i.e. every trajectory alone
+        for name, w in (("ref", solo_workers), ("w", workers)):
+            args = _run_args(tmp_path, name, workers=w) + [
+                "--param", param, "--values", values, "--trajectories", trajectories,
             ]
             assert main(["sweep", *args]) == 0
-        assert _read(tmp_path / "w1_sweep.csv") == _read(tmp_path / "w2_sweep.csv")
+        assert _read(tmp_path / "ref_sweep.csv") == _read(tmp_path / "w_sweep.csv")
 
     def test_meta_roundtrip(self, tmp_path):
         args = _run_args(tmp_path, "sm") + ["--values", "1.2,1.5", "--trajectories", "1"]

@@ -7,14 +7,15 @@ from gwmc.errors import ConfigError, NumericsError
 from gwmc.dynamics import (
     ModelParams,
     RngStream,
+    RowStreams,
     StepConfig,
     TrajectoryConfig,
     advance,
     apply_jump,
+    batch_samples,
     deterministic_step,
     jump_probabilities,
     load_checkpoint,
-    local_effective_hamiltonian,
     mean_fields,
     run_ensemble,
     run_trajectory,
@@ -22,9 +23,19 @@ from gwmc.dynamics import (
 )
 from gwmc.lattice import build_lattice
 from gwmc.observables import Accumulator
-from gwmc.state import bloch_vectors, down_state, plus_x_state, save_state_csv, z2_flip
+from gwmc.state import bloch_vectors, down_state, is_dark, plus_x_state, save_state_csv, z2_flip
 
 P_FERRO = ModelParams(jx=0.9, jy=1.2, jz=1.0)
+
+
+def local_effective_hamiltonian(b, p: ModelParams) -> np.ndarray:
+    """Non-Hermitian 2x2 generator for one site given its mean field (bx,by,bz)."""
+    bx, by, bz = float(b[0]), float(b[1]), float(b[2])
+    off = p.jx * bx - 1j * p.jy * by
+    return np.array(
+        [[p.jz * bz - 0.5j * p.gamma, off], [np.conj(off), -p.jz * bz]],
+        dtype=np.complex128,
+    )
 
 
 class _FixedDraws:
@@ -342,6 +353,41 @@ class TestRunTrajectory:
         g = build_lattice(2, 2)
         with pytest.raises(ConfigError):
             run_trajectory(g, P_FERRO, TrajectoryConfig(t_total=5.0, sample_interval=0.001), StepConfig(dt=0.01))
+
+
+class TestBatchSamples:
+    def test_row_streams_match_solo_trajectories(self):
+        # rows with mixed Jy, each on its own Philox stream: row k must equal
+        # solo trajectory k bit for bit, through the trap of the XXZ row
+        # (Jy = Jx) and the jumps after the last sample (t_total is off the
+        # sampling cadence)
+        g = build_lattice(2, 2)
+        step = StepConfig(dt=0.05)
+        traj = TrajectoryConfig(t_total=60.5, burn_in=0.0, sample_interval=1.0, seed=8)
+        params = [ModelParams(0.9, jy, 1.0) for jy in (0.9, 1.2, 2.5)]
+        rng = RowStreams(RngStream(traj.seed, k).generator() for k in range(len(params)))
+        totals = np.zeros(len(params), dtype=np.int64)
+        batch = list(batch_samples(g, params, traj, step, rng, totals))
+        solos = [run_trajectory(g, p, traj, step, stream=k) for k, p in enumerate(params)]
+        for k, solo in enumerate(solos):
+            assert len(solo.samples) == len(batch)
+            for sample, (t, bloch, jumps) in zip(solo.samples, batch):
+                assert sample.time == t
+                assert sample.bloch.tobytes() == bloch[k].tobytes()
+                assert sample.jumps_in_interval == jumps[k]
+            assert solo.total_jumps == totals[k]
+            trapped = [t for t, bloch, _ in batch if is_dark(bloch[k])]
+            assert solo.trapped_at == (trapped[0] if trapped else None)
+        # the case covers a trapped row, a jumping row and jumps in the tail
+        assert solos[0].trapped_at is not None and solos[2].trapped_at is None
+        assert solos[2].total_jumps > 0
+        assert totals.sum() > sum(int(jumps.sum()) for _, _, jumps in batch)
+
+    def test_rows_share_gamma(self):
+        rows = [P_FERRO, ModelParams(0.9, 1.2, 1.0, gamma=0.5)]
+        rng = RowStreams(RngStream(1, k).generator() for k in range(2))
+        with pytest.raises(ConfigError):
+            next(batch_samples(build_lattice(2, 2), rows, TrajectoryConfig(t_total=1.0), StepConfig(), rng))
 
 
 class TestStepSizeConvergence:

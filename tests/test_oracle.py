@@ -15,8 +15,6 @@ from gwmc.oracle import (
     build_hamiltonian,
     full_wfmc_ensemble,
     full_wfmc_trajectory,
-    integrate_master_equation,
-    lindblad_rhs,
     oracle_report,
     pair_xx_expectations,
     pauli_expectations,
@@ -86,13 +84,13 @@ class TestLindbladRhs:
     def test_up_state_decay_rate(self):
         g = build_lattice(1, 1)
         rho_up = np.diag([1.0, 0.0]).astype(complex)
-        rhs = lindblad_rhs(rho_up, g, P_FERRO)
+        rhs = DenseLindblad(g, P_FERRO).rhs(rho_up)
         assert np.trace(SZ @ rhs).real == pytest.approx(-2.0)
 
     def test_down_state_stationary(self):
         g = build_lattice(1, 1)
         rho_down = np.diag([0.0, 1.0]).astype(complex)
-        assert np.abs(lindblad_rhs(rho_down, g, P_FERRO)).max() == 0.0
+        assert np.abs(DenseLindblad(g, P_FERRO).rhs(rho_down)).max() == 0.0
 
     def test_trace_preserving(self, rng):
         g = build_lattice(2, 2)
@@ -100,7 +98,7 @@ class TestLindbladRhs:
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         rho = a @ a.conj().T
         rho /= np.trace(rho).real
-        assert abs(np.trace(lindblad_rhs(rho, g, P_FERRO))) < 1e-12
+        assert abs(np.trace(DenseLindblad(g, P_FERRO).rhs(rho))) < 1e-12
 
 
 class TestIntegration:
@@ -115,7 +113,7 @@ class TestIntegration:
     def test_xxz_relaxes_to_all_down(self):
         g = build_lattice(2, 1)
         p = ModelParams(0.9, 0.9, 1.0)
-        rho = integrate_master_equation(product_density(plus_x_state(2)), g, p, t=40.0, dt=0.002)
+        rho = DenseLindblad(g, p).integrate(product_density(plus_x_state(2)), t=40.0, dt=0.002)
         bloch = DenseLindblad(g, p).site_bloch(rho)
         assert np.abs(bloch - np.array([0.0, 0.0, -1.0])).max() < 1e-4
         # pure steady state
@@ -125,19 +123,19 @@ class TestIntegration:
         g = build_lattice(2, 1)
         p = ModelParams(0.9, 1.2, 1.0, gamma=0.0)
         rho0 = product_density(plus_x_state(2))
-        rho = integrate_master_equation(rho0, g, p, t=5.0, dt=0.002)
+        rho = DenseLindblad(g, p).integrate(rho0, t=5.0, dt=0.002)
         assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-8)
 
     def test_density_matrix_invariants_held(self):
         g = build_lattice(2, 2)
-        rho = integrate_master_equation(product_density(plus_x_state(4)), g, P_FERRO, t=4.0)
+        rho = DenseLindblad(g, P_FERRO).integrate(product_density(plus_x_state(4)), t=4.0)
         assert np.abs(rho - rho.conj().T).max() < 1e-10
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.eigvalsh(rho)[0] > -1e-8
 
     def test_cap_enforced(self):
         with pytest.raises(ConfigError):
-            integrate_master_equation(np.eye(2**12, dtype=complex) / 2**12, build_lattice(4, 3), P_FERRO, 1.0)
+            DenseLindblad(build_lattice(4, 3), P_FERRO).integrate(np.eye(2**12, dtype=complex) / 2**12, 1.0)
 
 
 class TestSingleSpinAnalytic:
