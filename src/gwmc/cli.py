@@ -26,7 +26,6 @@ from .dynamics import (
     StepConfig,
     TrajectoryConfig,
     batch_samples,
-    initial_product_state,
     run_trajectory,
 )
 from .errors import ConfigError, InsufficientDataError, NumericsError
@@ -39,7 +38,7 @@ from .observables import (
     mf_structure_factor,
     mf_transition_point,
 )
-from .oracle import DenseLindblad, product_density, full_wfmc_trajectory, oracle_report
+from .oracle import DenseLindblad, full_wfmc_trajectory, oracle_report
 
 ENGINES = ("gutzwiller", "fullwfmc", "exact")
 WORKERS_ENV = "GWMC_WORKERS"
@@ -80,7 +79,7 @@ class RunConfig:
         if self.engine not in ENGINES:
             raise ConfigError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if self.workers == 0:
-            self.workers = int(os.environ.get(WORKERS_ENV, "1"))
+            self.workers = _convert(WORKERS_ENV, int, os.environ.get(WORKERS_ENV, "1"))
         if self.workers < 1:
             raise ConfigError(f"workers must be positive, got {self.workers}")
         if self.engine in ("fullwfmc", "exact") and self.width * self.height > 10:
@@ -198,9 +197,7 @@ def _run_engine(cfg: RunConfig):
     if cfg.engine == "fullwfmc":
         result = full_wfmc_trajectory(geometry, p, traj, step)
         return result.samples, {"total_jumps": str(result.total_jumps)}
-    rho0 = product_density(initial_product_state(traj, geometry.n_sites))
-    samples = list(DenseLindblad(geometry, p).iter_samples(rho0, traj, step))
-    return samples, {}
+    return list(DenseLindblad(geometry, p).iter_samples(traj, step)), {}
 
 
 def cmd_run(cfg: RunConfig) -> int:

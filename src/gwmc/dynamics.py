@@ -16,8 +16,9 @@ probability gamma * dt * |amp_up|^2, drawn in fixed site order.
 
 All state-level functions accept leading batch dimensions, so m
 trajectories on one lattice are advanced as one (m, n_sites, 2) array by
-:func:`batch_samples`, the one step-and-sample loop, drawing from a single
-counter-based random stream or from one stream per row.
+:func:`batch_samples`, drawing from a single counter-based random stream or
+from one stream per row. :func:`step_and_sample` is the one step-and-sample
+loop, for this engine and for the exact references in :mod:`gwmc.oracle`.
 """
 
 from __future__ import annotations
@@ -26,14 +27,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError
 from .lattice import LatticeGeometry
 from .observables import Accumulator, Sample
 from .state import bloch_vectors, is_dark, load_state_csv, plus_x_state, renormalize, save_state_csv
-
-# minimum spinor norm tolerated after an un-normalized RK4 step
-_STEP_NORM_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -148,6 +145,15 @@ def _derivatives(amps: np.ndarray, geometry: LatticeGeometry, p: ModelParams) ->
     return out
 
 
+def _rk4(f, y: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of dy/dt = f(y), shared by all three engines."""
+    k1 = f(y)
+    k2 = f(y + (0.5 * dt) * k1)
+    k3 = f(y + (0.5 * dt) * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def deterministic_step(
     amps: np.ndarray,
     geometry: LatticeGeometry,
@@ -166,32 +172,13 @@ def deterministic_step(
         k = _derivatives(x, geometry, p)
         return k if mask is None else k * mask
 
-    k1 = f(amps)
-    k2 = f(amps + (0.5 * dt) * k1)
-    k3 = f(amps + (0.5 * dt) * k2)
-    k4 = f(amps + dt * k3)
-    out = amps + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    norm2 = out[..., 0].real ** 2 + out[..., 0].imag ** 2 + out[..., 1].real ** 2 + out[..., 1].imag ** 2
-    if np.any(norm2 < _STEP_NORM_FLOOR**2):
-        raise NumericsError("spinor norm collapsed during a drift step; reduce dt")
-    return renormalize(out)
+    return renormalize(_rk4(f, amps, dt))
 
 
 def jump_probabilities(amps: np.ndarray, p: ModelParams, dt: float) -> np.ndarray:
     """First-order per-site jump probabilities gamma * dt * |amp_up|^2."""
     u = amps[..., 0]
     return (p.gamma * dt) * (u.real**2 + u.imag**2)
-
-
-def apply_jump(i: int, amps: np.ndarray) -> np.ndarray:
-    """Collapse site i to the down state (0, 1); other sites untouched."""
-    u = amps[..., i, 0]
-    if np.any(u.real**2 + u.imag**2 == 0.0):
-        raise NumericsError(f"jump applied to site {i} with no up-amplitude")
-    out = amps.copy()
-    out[..., i, 0] = 0.0
-    out[..., i, 1] = 1.0
-    return out
 
 
 def advance(
@@ -261,10 +248,65 @@ class TrajectoryResult:
         return [s for s in self.samples if not s.burn_in]
 
 
-def _steps_per_sample(traj: TrajectoryConfig, step: StepConfig) -> int:
+def k_steps(advance_once, rows: int):
+    """Lift a one-step advance, returning (new state, jumped index array) as
+    :func:`advance` does, to the driver's ``advance(state, k)``: k steps and
+    the (rows,) jump counts per batch row."""
+
+    def advance_k(state, k):
+        counts = np.zeros(rows, dtype=np.int64)
+        for _ in range(k):
+            state, jumped = advance_once(state)
+            if len(jumped):
+                counts += np.bincount(jumped[:, 0], minlength=rows) if rows > 1 else len(jumped)
+        return state, counts
+
+    return advance_k
+
+
+def step_and_sample(state, advance, observe, traj: TrajectoryConfig, step: StepConfig,
+                    rows: int = 1, trap: bool = False, totals: np.ndarray | None = None):
+    """The one step-and-sample loop, shared by all three engines.
+
+    ``advance(state, k)`` takes k time steps and returns (new state, (rows,)
+    jump counts); ``observe(state)`` gives what a sample records. Yields
+    (t, observation, jumps since the previous sample) at t = 0 and every
+    sample_interval, rounded to whole steps.
+
+    With ``trap`` the observation is the manifold engine's (rows, n_sites, 3)
+    Bloch array, and a row whose sample is the all-down dark state is
+    trapped: the dark state is exact, so its Bloch vectors freeze at that
+    sample and its later jumps are not counted; once every row is trapped,
+    stepping stops. ``totals``, if given, receives each row's jump count
+    over the whole horizon; only then are the steps after the last sample
+    taken.
+    """
     if traj.sample_interval < step.dt:
         raise ConfigError("sample_interval must be at least dt")
-    return max(1, int(round(traj.sample_interval / step.dt)))
+    n_steps = int(round(traj.t_total / step.dt))
+    spp = int(round(traj.sample_interval / step.dt))
+
+    obs = observe(state)
+    trapped = np.zeros(rows, dtype=bool)
+    total = np.zeros(rows, dtype=np.int64)
+    yield 0.0, obs, np.zeros(rows, dtype=np.int64)
+    for n in range(spp, n_steps + 1, spp):
+        since = np.zeros(rows, dtype=np.int64)
+        if not trapped.all():
+            state, since = advance(state, spp)
+            since[trapped] = 0
+        fresh = observe(state)
+        if trap:
+            fresh[trapped] = obs[trapped]
+            trapped |= is_dark(fresh)
+        obs = fresh
+        yield n * step.dt, obs, since
+        total += since
+    if totals is not None:
+        if not trapped.all():
+            _, since = advance(state, n_steps % spp)
+            total += since * ~trapped
+        totals[:] = total
 
 
 def batch_samples(
@@ -276,50 +318,25 @@ def batch_samples(
     totals: np.ndarray | None = None,
 ):
     """Advance one batch row per entry of ``params`` from the configured
-    initial state; yield (t, bloch, jumps) at t = 0 and every sample_interval
-    (rounded to whole steps), with bloch of shape (m, n_sites, 3) and jumps
+    initial state through :func:`step_and_sample` with the dark-state trap;
+    yields (t, bloch, jumps) with bloch of shape (m, n_sites, 3) and jumps
     the (m,) jump counts since the previous sample.
 
     ``rng`` draws each step's (m, n_sites) block of uniforms: a Generator
     shares one stream over the block, a :class:`RowStreams` gives every row
     its own, which makes row k bit-identical to a one-row run on its stream.
-
-    A row whose sample is the all-down dark state is trapped: the dark state
-    is exact, so its Bloch vectors freeze at that sample and its later jumps
-    are not counted; once every row is trapped integration stops. ``totals``,
-    if given, receives each row's jump count over the whole horizon,
-    including steps after the last sample.
     """
     m = len(params)
     p = _stack_params(params)
     amps = initial_product_state(traj, geometry.n_sites)
     if m > 1:  # a single row keeps no batch axis: small 2-d arrays step ~20% faster
         amps = np.broadcast_to(amps, (m,) + amps.shape).copy()
-    n_steps = int(round(traj.t_total / step.dt))
-    spp = _steps_per_sample(traj, step)
 
-    bloch = bloch_vectors(amps).reshape(m, -1, 3)
-    trapped = np.zeros(m, dtype=bool)
-    live = True  # some row is not trapped
-    since = np.zeros(m, dtype=np.int64)
-    total = np.zeros(m, dtype=np.int64)
-    yield 0.0, bloch, np.zeros(m, dtype=np.int64)
-    for n in range(1, n_steps + 1):
-        if live:
-            amps, jumped = advance(amps, geometry, p, step, rng)
-            if len(jumped):
-                since += np.bincount(jumped[:, 0], minlength=m) * ~trapped if m > 1 else len(jumped)
-        if n % spp == 0:
-            fresh = bloch_vectors(amps).reshape(m, -1, 3)
-            fresh[trapped] = bloch[trapped]
-            bloch = fresh
-            trapped |= is_dark(bloch)
-            live = not trapped.all()
-            yield n * step.dt, bloch, since
-            total += since
-            since = np.zeros(m, dtype=np.int64)
-    if totals is not None:
-        totals[:] = total + since
+    def observe(a):
+        return bloch_vectors(a).reshape(m, -1, 3)
+
+    advance_k = k_steps(lambda a: advance(a, geometry, p, step, rng), m)
+    return step_and_sample(amps, advance_k, observe, traj, step, m, trap=True, totals=totals)
 
 
 def run_trajectory(

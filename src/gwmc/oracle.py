@@ -16,11 +16,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelParams, RngStream, StepConfig, TrajectoryConfig, TrajectoryResult, run_ensemble
+from .dynamics import (
+    ModelParams,
+    RngStream,
+    StepConfig,
+    TrajectoryConfig,
+    TrajectoryResult,
+    _rk4,
+    initial_product_state,
+    k_steps,
+    run_ensemble,
+    step_and_sample,
+)
 from .errors import ConfigError, NumericsError
 from .lattice import LatticeGeometry, bonds, build_lattice
 from .observables import Sample
-from .state import load_state_csv, plus_x_state, renormalize
+from .state import plus_x_state
 
 MAX_SITES = 10
 
@@ -148,11 +159,7 @@ class DenseLindblad:
         n_steps = int(round(t / dt))
         check_every = max(1, int(round(check_interval / dt)))
         for k in range(1, n_steps + 1):
-            k1 = self.rhs(rho)
-            k2 = self.rhs(rho + (0.5 * dt) * k1)
-            k3 = self.rhs(rho + (0.5 * dt) * k2)
-            k4 = self.rhs(rho + dt * k3)
-            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            rho = _rk4(self.rhs, rho, dt)
             if k % check_every == 0 or k == n_steps:
                 rho = self._verify_and_restore(rho)
         return rho
@@ -195,20 +202,18 @@ class DenseLindblad:
                 out[i, j] = rho[idx, idx ^ masks[i] ^ masks[j]].sum().real
         return out
 
-    def iter_samples(self, rho: np.ndarray, traj: TrajectoryConfig, step: StepConfig):
-        """Sample stream matching the trajectory engines' schema (no jumps)."""
-        rho = np.array(rho, dtype=np.complex128)
-        n_steps = int(round(traj.t_total / step.dt))
-        spp = max(1, int(round(traj.sample_interval / step.dt)))
-        yield self._sample(rho, 0.0, traj)
-        for n in range(spp, n_steps + 1, spp):
-            rho = self.integrate(rho, spp * step.dt, dt=step.dt)
-            yield self._sample(rho, n * step.dt, traj)
+    def iter_samples(self, traj: TrajectoryConfig, step: StepConfig):
+        """Sample stream from the configured initial product state, matching
+        the trajectory engines' schema (no jumps). Each driver step integrates
+        one whole sample interval."""
 
-    def _sample(self, rho, t, traj):
-        xx = self.pair_xx(rho)
-        sxx = float(structure_factor_from_pairs(xx)) if self.n > 1 else 0.0
-        return Sample(t, self.site_bloch(rho), burn_in=t < traj.burn_in, sxx_inst=sxx)
+        def advance(rho, k):
+            return self.integrate(rho, k * step.dt, dt=step.dt), np.zeros(1, dtype=np.int64)
+
+        rho0 = product_density(initial_product_state(traj, self.n))
+        for t, rho, _ in step_and_sample(rho0, advance, lambda rho: rho, traj, step):
+            sxx = float(structure_factor_from_pairs(self.pair_xx(rho))) if self.n > 1 else 0.0
+            yield Sample(t, self.site_bloch(rho), burn_in=t < traj.burn_in, sxx_inst=sxx)
 
 
 # -- full-Hilbert-space trajectories -------------------------------------------
@@ -247,7 +252,10 @@ class FullWfmc:
             lowered = np.where(self.up[site], 0.0, lowered)
         return self._renorm(lowered)
 
-    def advance(self, psi: np.ndarray, step: StepConfig, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    def advance(self, psi: np.ndarray, step: StepConfig,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """One full time step; returns (new state, jumped index array) as
+        :func:`gwmc.dynamics.advance` does."""
         if self.p.gamma * step.dt > step.max_jump_prob:
             raise ConfigError(
                 f"gamma*dt = {self.p.gamma * step.dt:g} exceeds max_jump_prob = {step.max_jump_prob:g}"
@@ -255,8 +263,7 @@ class FullWfmc:
         probs = self.jump_probabilities(psi, step.dt)
         draws = rng.random(size=probs.shape)
         jumped = draws < probs
-        n_jumps = int(jumped.sum())
-        if n_jumps:
+        if jumped.any():
             psi = psi.copy()
             for site in range(self.n):
                 rows = jumped[..., site]
@@ -265,20 +272,24 @@ class FullWfmc:
                         psi = self.apply_jump(psi, site)
                     else:
                         psi[rows] = self.apply_jump(psi[rows], site)
-        k1 = self._deriv(psi)
-        k2 = self._deriv(psi + (0.5 * step.dt) * k1)
-        k3 = self._deriv(psi + (0.5 * step.dt) * k2)
-        k4 = self._deriv(psi + step.dt * k3)
-        psi = self._renorm(psi + (step.dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        return psi, n_jumps
+        return self._renorm(_rk4(self._deriv, psi, step.dt)), np.argwhere(jumped)
 
+    def _path(self, traj: TrajectoryConfig, step: StepConfig, stream: int,
+              n_traj: int | None = None, totals: np.ndarray | None = None):
+        """:func:`gwmc.dynamics.step_and_sample` from the configured initial
+        product state, over one state vector (n_traj None) or a batch of
+        n_traj sharing one stream; each sample observes (bloch, pair_xx)."""
+        rng = RngStream(traj.seed, stream).generator()
+        psi = product_state_vector(initial_product_state(traj, self.n))
+        rows = 1 if n_traj is None else n_traj
+        if n_traj is not None:
+            psi = np.broadcast_to(psi, (n_traj,) + psi.shape).copy()
 
-def _initial_vector(traj: TrajectoryConfig, n: int) -> np.ndarray:
-    if traj.initial_state == "plus_x":
-        return product_state_vector(plus_x_state(n, +1))
-    if traj.initial_state == "minus_x":
-        return product_state_vector(plus_x_state(n, -1))
-    return product_state_vector(renormalize(load_state_csv(traj.initial_state)))
+        def observe(x):
+            return pauli_expectations(x, self.n), pair_xx_expectations(x, self.n)
+
+        advance_k = k_steps(lambda x: self.advance(x, step, rng), rows)
+        return step_and_sample(psi, advance_k, observe, traj, step, rows, totals=totals)
 
 
 def full_wfmc_trajectory(
@@ -287,34 +298,18 @@ def full_wfmc_trajectory(
     traj: TrajectoryConfig,
     step: StepConfig = StepConfig(),
     stream: int = 0,
-    psi0: np.ndarray | None = None,
 ) -> TrajectoryResult:
     """Single unrestricted trajectory with the manifold engine's sampling
     cadence; samples carry exact per-site Bloch vectors and exact pair-based
     instantaneous structure factors."""
     engine = FullWfmc(geometry, p)
-    rng = RngStream(traj.seed, stream).generator()
-    psi = engine._renorm(np.array(psi0, dtype=np.complex128)) if psi0 is not None \
-        else _initial_vector(traj, geometry.n_sites)
-    n_steps = int(round(traj.t_total / step.dt))
-    spp = max(1, int(round(traj.sample_interval / step.dt)))
-
-    def make_sample(t, jumps):
-        bloch = pauli_expectations(psi, engine.n)
-        sxx = float(structure_factor_from_pairs(pair_xx_expectations(psi, engine.n))) if engine.n > 1 else 0.0
-        return Sample(t, bloch, burn_in=t < traj.burn_in, jumps_in_interval=jumps, sxx_inst=sxx)
-
-    samples = [make_sample(0.0, 0)]
-    total = 0
-    since = 0
-    for n in range(1, n_steps + 1):
-        psi, jumps = engine.advance(psi, step, rng)
-        total += jumps
-        since += jumps
-        if n % spp == 0:
-            samples.append(make_sample(n * step.dt, since))
-            since = 0
-    return TrajectoryResult(samples, None, total, traj.seed, stream)
+    totals = np.zeros(1, dtype=np.int64)
+    samples = []
+    for t, (bloch, xx), jumps in engine._path(traj, step, stream, totals=totals):
+        sxx = float(structure_factor_from_pairs(xx)) if engine.n > 1 else 0.0
+        samples.append(Sample(t, bloch, burn_in=t < traj.burn_in,
+                              jumps_in_interval=int(jumps[0]), sxx_inst=sxx))
+    return TrajectoryResult(samples, None, int(totals[0]), traj.seed, stream)
 
 
 def full_wfmc_ensemble(
@@ -333,20 +328,8 @@ def full_wfmc_ensemble(
     master-equation expectations up to Monte Carlo error.
     """
     engine = FullWfmc(geometry, p, corrupt_jumps=corrupt_jumps)
-    rng = RngStream(traj.seed, stream).generator()
-    psi0 = _initial_vector(traj, geometry.n_sites)
-    psi = np.broadcast_to(psi0, (n_traj,) + psi0.shape).copy()
-    n_steps = int(round(traj.t_total / step.dt))
-    spp = max(1, int(round(traj.sample_interval / step.dt)))
-    times = [0.0]
-    blochs = [pauli_expectations(psi, engine.n)]
-    pairs = [pair_xx_expectations(psi, engine.n)]
-    for n in range(1, n_steps + 1):
-        psi, _ = engine.advance(psi, step, rng)
-        if n % spp == 0:
-            times.append(n * step.dt)
-            blochs.append(pauli_expectations(psi, engine.n))
-            pairs.append(pair_xx_expectations(psi, engine.n))
+    times, observed, _ = zip(*engine._path(traj, step, stream, n_traj))
+    blochs, pairs = zip(*observed)
     return np.asarray(times), np.asarray(blochs), np.asarray(pairs)
 
 

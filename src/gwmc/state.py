@@ -80,11 +80,6 @@ def renormalize(amps: np.ndarray) -> np.ndarray:
     return amps / np.sqrt(norm2)[..., None]
 
 
-def norms(amps: np.ndarray) -> np.ndarray:
-    """Per-spinor norms, shape (...,)."""
-    return np.sqrt(_abs2(amps[..., 0]) + _abs2(amps[..., 1]))
-
-
 def is_dark(bloch: np.ndarray, tol: float = 1e-12):
     """True when every site is in the down state to within tol; for a batch
     of shape (..., n_sites, 3), one answer per state.

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from gwmc.cli import RunConfig, SweepConfig, main, parse_kv_file, run_sweep
+from gwmc.cli import ENGINES, RunConfig, SweepConfig, main, parse_kv_file, run_sweep
 from gwmc.errors import ConfigError
+from gwmc.state import down_state, plus_x_state, save_state_csv
 
 
 def _read(path):
@@ -129,6 +130,30 @@ class TestRunCommand:
         assert main(["run", *args]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == [config]
+
+    def test_malformed_workers_env(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("GWMC_WORKERS", "two")
+        args = _run_args(tmp_path, "w", width="2", height="2", **{"t-total": "2", "burn-in": "0.5"})
+        assert main(["run", *args]) == 1
+        assert capsys.readouterr().err.startswith("error: GWMC_WORKERS")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("case", ["four_site_snapshot", "dark_snapshot", "sample_interval_below_dt"])
+    def test_engines_share_input_checks(self, tmp_path, capsys, engine, case):
+        # all engines resolve the initial state and the sampling cadence in
+        # one place, so each refuses the same bad inputs on a 2-site lattice
+        over = {"sample-interval": "0.005", "dt": "0.01"}
+        if case != "sample_interval_below_dt":
+            snapshot = tmp_path / "init.csv"
+            save_state_csv(snapshot, plus_x_state(4) if case == "four_site_snapshot" else down_state(2))
+            over = {"initial-state": str(snapshot)}
+        before = list(tmp_path.iterdir())
+        args = _run_args(tmp_path, "bad", engine=engine, width="2", height="1",
+                         **{"t-total": "2", "burn-in": "0.5", **over})
+        assert main(["run", *args]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == before
 
     def test_exact_engine_small_system(self, tmp_path):
         args = _run_args(tmp_path, "ex", engine="exact", width="2", height="1",

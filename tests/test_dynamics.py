@@ -11,7 +11,6 @@ from gwmc.dynamics import (
     StepConfig,
     TrajectoryConfig,
     advance,
-    apply_jump,
     batch_samples,
     deterministic_step,
     jump_probabilities,
@@ -26,6 +25,17 @@ from gwmc.observables import Accumulator
 from gwmc.state import bloch_vectors, down_state, is_dark, plus_x_state, save_state_csv, z2_flip
 
 P_FERRO = ModelParams(jx=0.9, jy=1.2, jz=1.0)
+
+
+def apply_jump(i: int, amps: np.ndarray) -> np.ndarray:
+    """Collapse site i to the down state (0, 1); other sites untouched."""
+    u = amps[..., i, 0]
+    if np.any(u.real**2 + u.imag**2 == 0.0):
+        raise NumericsError(f"jump applied to site {i} with no up-amplitude")
+    out = amps.copy()
+    out[..., i, 0] = 0.0
+    out[..., i, 1] = 1.0
+    return out
 
 
 def local_effective_hamiltonian(b, p: ModelParams) -> np.ndarray:
@@ -145,6 +155,16 @@ class TestDeterministicStep:
         out = deterministic_step(amps, g, P_FERRO, 0.01)
         norm2 = np.abs(out[:, 0]) ** 2 + np.abs(out[:, 1]) ** 2
         assert np.allclose(norm2, 1.0, atol=1e-10)
+
+    @pytest.mark.parametrize("scale", [1e-13, np.nan])
+    def test_vanished_norm_raises(self, scale):
+        # the norm floor after the RK4 sum is renormalize's: a site whose
+        # spinor is below it, or not finite, stops the step
+        g = build_lattice(2, 2)
+        amps = plus_x_state(4)
+        amps[1] *= scale
+        with pytest.raises(NumericsError):
+            deterministic_step(amps, g, P_FERRO, 0.01)
 
 
 class TestJumps:

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_product_state
 from gwmc.errors import ConfigError
-from gwmc.dynamics import ModelParams, StepConfig, TrajectoryConfig, run_trajectory
+from gwmc.dynamics import ModelParams, RngStream, StepConfig, TrajectoryConfig, run_trajectory
 from gwmc.lattice import build_lattice
 from gwmc.oracle import (
     DenseLindblad,
@@ -21,11 +21,121 @@ from gwmc.oracle import (
     product_state_vector,
     single_spin_analytic,
     site_operator,
+    structure_factor_from_pairs,
 )
+from gwmc.observables import Sample
 from gwmc.state import bloch_vectors, plus_x_state
 
 P_FERRO = ModelParams(0.9, 1.2, 1.0)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+# -- reference loops ----------------------------------------------------------
+# One step-and-sample loop per oracle engine, each with its own cadence
+# arithmetic and RK4 stage sum written out; the engines on the shared driver
+# (gwmc.dynamics.step_and_sample) must match them bit for bit. They start
+# from plus_x, as the cases below do.
+
+def _reference_rk4_combination(f, y, dt):
+    k1 = f(y)
+    k2 = f(y + (0.5 * dt) * k1)
+    k3 = f(y + (0.5 * dt) * k2)
+    k4 = f(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _reference_full_step(engine, psi, step, rng):
+    probs = engine.jump_probabilities(psi, step.dt)
+    jumped = rng.random(size=probs.shape) < probs
+    n_jumps = int(jumped.sum())
+    if n_jumps:
+        psi = psi.copy()
+        for site in range(engine.n):
+            rows = jumped[..., site]
+            if rows.any():
+                if psi.ndim == 1:
+                    psi = engine.apply_jump(psi, site)
+                else:
+                    psi[rows] = engine.apply_jump(psi[rows], site)
+    return engine._renorm(_reference_rk4_combination(engine._deriv, psi, step.dt)), n_jumps
+
+
+def reference_full_wfmc_trajectory(geometry, p, traj, step, stream=0):
+    engine = FullWfmc(geometry, p)
+    rng = RngStream(traj.seed, stream).generator()
+    psi = product_state_vector(plus_x_state(geometry.n_sites))
+    n_steps = int(round(traj.t_total / step.dt))
+    spp = max(1, int(round(traj.sample_interval / step.dt)))
+
+    def make_sample(t, jumps):
+        bloch = pauli_expectations(psi, engine.n)
+        sxx = float(structure_factor_from_pairs(pair_xx_expectations(psi, engine.n))) if engine.n > 1 else 0.0
+        return Sample(t, bloch, burn_in=t < traj.burn_in, jumps_in_interval=jumps, sxx_inst=sxx)
+
+    samples = [make_sample(0.0, 0)]
+    total = 0
+    since = 0
+    for n in range(1, n_steps + 1):
+        psi, jumps = _reference_full_step(engine, psi, step, rng)
+        total += jumps
+        since += jumps
+        if n % spp == 0:
+            samples.append(make_sample(n * step.dt, since))
+            since = 0
+    return samples, total
+
+
+def reference_full_wfmc_ensemble(geometry, p, traj, step, n_traj, stream=0):
+    engine = FullWfmc(geometry, p)
+    rng = RngStream(traj.seed, stream).generator()
+    psi0 = product_state_vector(plus_x_state(geometry.n_sites))
+    psi = np.broadcast_to(psi0, (n_traj,) + psi0.shape).copy()
+    n_steps = int(round(traj.t_total / step.dt))
+    spp = max(1, int(round(traj.sample_interval / step.dt)))
+    times = [0.0]
+    blochs = [pauli_expectations(psi, engine.n)]
+    pairs = [pair_xx_expectations(psi, engine.n)]
+    for n in range(1, n_steps + 1):
+        psi, _ = _reference_full_step(engine, psi, step, rng)
+        if n % spp == 0:
+            times.append(n * step.dt)
+            blochs.append(pauli_expectations(psi, engine.n))
+            pairs.append(pair_xx_expectations(psi, engine.n))
+    return np.asarray(times), np.asarray(blochs), np.asarray(pairs)
+
+
+def _reference_integrate(system, rho, t, dt, check_interval=1.0):
+    rho = np.array(rho, dtype=np.complex128)
+    n_steps = int(round(t / dt))
+    check_every = max(1, int(round(check_interval / dt)))
+    for k in range(1, n_steps + 1):
+        rho = _reference_rk4_combination(system.rhs, rho, dt)
+        if k % check_every == 0 or k == n_steps:
+            rho = system._verify_and_restore(rho)
+    return rho
+
+
+def reference_dense_samples(system, traj, step):
+    def sample(rho, t):
+        sxx = float(structure_factor_from_pairs(system.pair_xx(rho))) if system.n > 1 else 0.0
+        return Sample(t, system.site_bloch(rho), burn_in=t < traj.burn_in, sxx_inst=sxx)
+
+    rho = product_density(plus_x_state(system.n))
+    n_steps = int(round(traj.t_total / step.dt))
+    spp = max(1, int(round(traj.sample_interval / step.dt)))
+    samples = [sample(rho, 0.0)]
+    for n in range(spp, n_steps + 1, spp):
+        rho = _reference_integrate(system, rho, spp * step.dt, step.dt)
+        samples.append(sample(rho, n * step.dt))
+    return samples
+
+
+def _assert_samples_bit_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.time, a.burn_in, a.jumps_in_interval) == (b.time, b.burn_in, b.jumps_in_interval)
+        assert a.bloch.tobytes() == b.bloch.tobytes()
+        assert np.float64(a.sxx_inst).tobytes() == np.float64(b.sxx_inst).tobytes()
 
 
 class TestOperators:
@@ -208,6 +318,39 @@ class TestFullWfmc:
             ):
                 se = vals.std(ddof=1) / np.sqrt(len(vals))
                 assert abs(vals.mean() - exact) < 3.5 * se
+
+
+class TestSharedDriver:
+    """The oracle engines on gwmc.dynamics.step_and_sample against their
+    former loops, bit for bit."""
+
+    def test_full_trajectory_matches_reference(self):
+        # 2000 steps sampled every 30 leave 20 steps after the last sample;
+        # seed 16 jumps in them, so total_jumps must count them
+        g = build_lattice(2, 1)
+        traj = TrajectoryConfig(t_total=20.0, burn_in=2.0, sample_interval=0.3, seed=16)
+        got = full_wfmc_trajectory(g, P_FERRO, traj, StepConfig())
+        samples, total = reference_full_wfmc_trajectory(g, P_FERRO, traj, StepConfig())
+        _assert_samples_bit_equal(got.samples, samples)
+        assert got.total_jumps == total
+        assert total > sum(s.jumps_in_interval for s in samples)
+
+    def test_full_ensemble_matches_reference(self):
+        g = build_lattice(2, 2)
+        traj = TrajectoryConfig(t_total=3.0, sample_interval=0.5, seed=9)
+        got = full_wfmc_ensemble(g, P_FERRO, traj, StepConfig(), n_traj=60, stream=2)
+        want = reference_full_wfmc_ensemble(g, P_FERRO, traj, StepConfig(), n_traj=60, stream=2)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_dense_samples_match_reference(self):
+        # 2.5 per sample is longer than integrate's 1.0 check interval, so the
+        # verify-and-restore points fall inside each sample interval
+        g = build_lattice(2, 1)
+        traj = TrajectoryConfig(t_total=10.0, burn_in=1.0, sample_interval=2.5)
+        system = DenseLindblad(g, P_FERRO)
+        got = list(system.iter_samples(traj, StepConfig()))
+        _assert_samples_bit_equal(got, reference_dense_samples(system, traj, StepConfig()))
 
 
 class TestOracleReport:

@@ -8,7 +8,6 @@ from gwmc.state import (
     down_state,
     is_dark,
     load_state_csv,
-    norms,
     plus_x_state,
     renormalize,
     save_state_csv,
@@ -16,6 +15,11 @@ from gwmc.state import (
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
+def norms(amps: np.ndarray) -> np.ndarray:
+    """Per-spinor norms, shape (...,)."""
+    return np.sqrt(np.abs(amps[..., 0]) ** 2 + np.abs(amps[..., 1]) ** 2)
 
 
 class TestBloch:
