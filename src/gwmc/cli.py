@@ -38,7 +38,7 @@ from .observables import (
     mf_structure_factor,
     mf_transition_point,
 )
-from .oracle import DenseLindblad, full_wfmc_trajectory, oracle_report
+from .oracle import MAX_DENSE_SITES, MAX_SITES, DenseLindblad, full_wfmc_trajectory, oracle_report
 
 ENGINES = ("gutzwiller", "fullwfmc", "exact")
 WORKERS_ENV = "GWMC_WORKERS"
@@ -82,9 +82,10 @@ class RunConfig:
             self.workers = _convert(WORKERS_ENV, int, os.environ.get(WORKERS_ENV, "1"))
         if self.workers < 1:
             raise ConfigError(f"workers must be positive, got {self.workers}")
-        if self.engine in ("fullwfmc", "exact") and self.width * self.height > 10:
+        cap = {"fullwfmc": MAX_SITES, "exact": MAX_DENSE_SITES}.get(self.engine)
+        if cap is not None and self.width * self.height > cap:
             raise ConfigError(
-                f"engine {self.engine!r} is capped at 10 sites, got {self.width * self.height}"
+                f"engine {self.engine!r} is capped at {cap} sites, got {self.width * self.height}"
             )
 
     def geometry(self):

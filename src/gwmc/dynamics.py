@@ -146,7 +146,8 @@ def _derivatives(amps: np.ndarray, geometry: LatticeGeometry, p: ModelParams) ->
 
 
 def _rk4(f, y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of dy/dt = f(y), shared by all three engines."""
+    """One classical RK4 step of dy/dt = f(y), for the manifold engine's
+    nonlinear drift; the linear oracle engines step by a propagator matrix."""
     k1 = f(y)
     k2 = f(y + (0.5 * dt) * k1)
     k3 = f(y + (0.5 * dt) * k2)

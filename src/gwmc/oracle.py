@@ -3,7 +3,13 @@ unrestricted full-Hilbert-space trajectory simulation.
 
 These exist to validate the product-manifold engine and to measure the size
 of the manifold approximation, not for speed: states and density matrices are
-dense, capped at 10 sites (tests typically use 1, 2, or 4).
+dense. State vectors are capped at 10 sites; the master equation, whose
+superoperator is 4^n x 4^n (16 MB at 5 sites, 268 MB at 6), at 5. Tests
+typically use 1, 2, or 4.
+
+Both engines are linear in their state between jumps, so one classical RK4
+step is a matrix: the RK4 stability polynomial of the generator times dt.
+They apply that matrix (or a power of it) instead of four derivative stages.
 
 Basis convention: basis index b encodes site i in bit (n-1-i), with bit value
 0 meaning sigma^z = +1 (up). Site 0 is therefore the most significant bit,
@@ -13,6 +19,7 @@ matching a Kronecker-product build in site order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +29,6 @@ from .dynamics import (
     StepConfig,
     TrajectoryConfig,
     TrajectoryResult,
-    _rk4,
     initial_product_state,
     k_steps,
     run_ensemble,
@@ -33,16 +39,28 @@ from .lattice import LatticeGeometry, bonds, build_lattice
 from .observables import Sample
 from .state import plus_x_state
 
-MAX_SITES = 10
+MAX_SITES = 10  # full-space state vectors and Hamiltonians
+MAX_DENSE_SITES = 5  # dense master equation: a 4^n x 4^n superoperator
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
 
-def _check_cap(n: int) -> None:
-    if n > MAX_SITES:
-        raise ConfigError(f"exact solvers are capped at {MAX_SITES} sites, got {n}")
+def _check_cap(n: int, cap: int = MAX_SITES) -> None:
+    if n > cap:
+        raise ConfigError(f"exact solvers are capped at {cap} sites, got {n}")
+
+
+def _rk4_propagator(a: np.ndarray) -> np.ndarray:
+    """One classical RK4 step of the linear equation dy/dt = M y as a matrix:
+    the RK4 stability polynomial 1 + a + a^2/2 + a^3/6 + a^4/24 at a = dt M,
+    by Horner's rule."""
+    eye = np.eye(len(a), dtype=a.dtype)
+    out = eye + a / 4.0
+    for c in (3.0, 2.0, 1.0):
+        out = eye + (a @ out) / c
+    return out
 
 
 def site_operator(op: np.ndarray, i: int, n: int) -> np.ndarray:
@@ -132,7 +150,7 @@ class DenseLindblad:
     """
 
     def __init__(self, geometry: LatticeGeometry, p: ModelParams):
-        _check_cap(geometry.n_sites)
+        _check_cap(geometry.n_sites, MAX_DENSE_SITES)
         self.n = geometry.n_sites
         self.p = p
         self.h = build_hamiltonian(geometry, p)
@@ -140,6 +158,7 @@ class DenseLindblad:
         # total up-population on the diagonal; {n_j, rho} summed over sites
         # becomes (U_b + U_c) rho_bc
         self.up_count = self.up.sum(axis=0).astype(float)
+        self._powers: dict[tuple[float, int], np.ndarray] = {}
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
         out = -1j * (self.h @ rho - rho @ self.h)
@@ -151,17 +170,36 @@ class DenseLindblad:
         out -= (0.5 * g) * (self.up_count[:, None] + self.up_count[None, :]) * rho
         return out
 
+    @cached_property
+    def _generator(self) -> np.ndarray:
+        """The superoperator L of :meth:`rhs` on row-major vec(rho), one
+        column per basis matrix, so that rhs stays the one statement of the
+        physics."""
+        dim = 2**self.n
+        gen = np.empty((dim * dim, dim * dim), dtype=np.complex128)
+        for j, basis in enumerate(np.eye(dim * dim, dtype=np.complex128)):
+            gen[:, j] = self.rhs(basis.reshape(dim, dim)).ravel()
+        return gen
+
+    def _step_power(self, dt: float, k: int) -> np.ndarray:
+        """P^k for P one RK4 step of L at dt, by binary powering in O(log k)
+        products; cached per (dt, k)."""
+        if (dt, k) not in self._powers:
+            self._powers[dt, k] = np.linalg.matrix_power(_rk4_propagator(dt * self._generator), k)
+        return self._powers[dt, k]
+
     def integrate(self, rho: np.ndarray, t: float, dt: float = 0.002,
                   check_interval: float = 1.0) -> np.ndarray:
-        """RK4 integration; density-matrix invariants are verified and restored
-        (re-hermitized, trace-normalized) at regular checkpoints."""
+        """RK4 integration at step dt, applied as one propagator power per
+        check interval plus one for the remainder; density-matrix invariants
+        are verified and restored (re-hermitized, trace-normalized) after
+        each of them."""
         rho = np.array(rho, dtype=np.complex128)
-        n_steps = int(round(t / dt))
+        n_steps = max(0, int(round(t / dt)))
         check_every = max(1, int(round(check_interval / dt)))
-        for k in range(1, n_steps + 1):
-            rho = _rk4(self.rhs, rho, dt)
-            if k % check_every == 0 or k == n_steps:
-                rho = self._verify_and_restore(rho)
+        full, rest = divmod(n_steps, check_every)
+        for k in [check_every] * full + ([rest] if rest else []):
+            rho = self._verify_and_restore((self._step_power(dt, k) @ rho.ravel()).reshape(rho.shape))
         return rho
 
     def _verify_and_restore(self, rho: np.ndarray) -> np.ndarray:
@@ -232,9 +270,14 @@ class FullWfmc:
         h = build_hamiltonian(geometry, p)
         self.h_eff = h - 0.5j * p.gamma * np.diag(self.up.sum(axis=0).astype(complex))
         self.corrupt_jumps = corrupt_jumps  # test hook: breaks the jump operator
+        self._drift_steps: dict[float, np.ndarray] = {}
 
-    def _deriv(self, psi: np.ndarray) -> np.ndarray:
-        return -1j * (psi @ self.h_eff.T)
+    def _drift(self, psi: np.ndarray, dt: float) -> np.ndarray:
+        """One RK4 step of the no-jump drift d psi/dt = -i h_eff psi, as a
+        product with its propagator (cached per dt); not renormalized."""
+        if dt not in self._drift_steps:
+            self._drift_steps[dt] = _rk4_propagator(-1j * dt * self.h_eff).T
+        return psi @ self._drift_steps[dt]
 
     def _renorm(self, psi: np.ndarray) -> np.ndarray:
         norm2 = (psi.real**2 + psi.imag**2).sum(axis=-1)
@@ -272,7 +315,7 @@ class FullWfmc:
                         psi = self.apply_jump(psi, site)
                     else:
                         psi[rows] = self.apply_jump(psi[rows], site)
-        return self._renorm(_rk4(self._deriv, psi, step.dt)), np.argwhere(jumped)
+        return self._renorm(self._drift(psi, step.dt)), np.argwhere(jumped)
 
     def _path(self, traj: TrajectoryConfig, step: StepConfig, stream: int,
               n_traj: int | None = None, totals: np.ndarray | None = None):
@@ -374,6 +417,7 @@ class OracleReport:
 
 
 _GEOMETRY_FOR_SITES = {1: (1, 1), 2: (2, 1), 4: (2, 2)}
+_CHECKPOINTS = (1.0, 2.0, 5.0, 10.0)
 
 
 def oracle_report(
@@ -396,6 +440,11 @@ def oracle_report(
     """
     if n_sites not in _GEOMETRY_FOR_SITES:
         raise ConfigError(f"oracle check supports site counts {sorted(_GEOMETRY_FOR_SITES)}, got {n_sites}")
+    if n_traj < 2:
+        raise ConfigError(f"oracle check needs at least 2 trajectories for its standard errors, got {n_traj}")
+    if t_total < _CHECKPOINTS[0]:
+        raise ConfigError(f"oracle check needs t_total of at least {_CHECKPOINTS[0]:g}, "
+                          f"its first checkpoint, got {t_total:g}")
     geometry = build_lattice(*_GEOMETRY_FOR_SITES[n_sites])
     checks: list[CheckResult] = []
 
@@ -414,7 +463,7 @@ def oracle_report(
     traj = TrajectoryConfig(t_total=t_total, sample_interval=1.0, seed=seed)
     step = StepConfig(dt=dt)
     times, blochs, pairs = full_wfmc_ensemble(geometry, p, traj, step, n_traj, corrupt_jumps=corrupt_jumps)
-    checkpoints = [t for t in (1.0, 2.0, 5.0, 10.0) if t <= t_total + 1e-9]
+    checkpoints = [t for t in _CHECKPOINTS if t <= t_total + 1e-9]
     sys_n = DenseLindblad(geometry, p)
     rho = product_density(plus_x_state(n_sites))
     worst = 0.0

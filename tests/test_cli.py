@@ -32,9 +32,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             RunConfig(engine="magic")
 
-    def test_exact_engine_site_cap(self):
-        with pytest.raises(ConfigError):
-            RunConfig(engine="exact", width=4, height=3)
+    @pytest.mark.parametrize("engine,width,height,refused", [
+        pytest.param("exact", 3, 2, True, id="exact-3x2"),
+        pytest.param("exact", 4, 3, True, id="exact-4x3"),
+        pytest.param("fullwfmc", 3, 2, False, id="fullwfmc-3x2"),
+        pytest.param("fullwfmc", 4, 3, True, id="fullwfmc-4x3"),
+    ])
+    def test_exact_engine_site_cap(self, engine, width, height, refused):
+        if refused:
+            with pytest.raises(ConfigError):
+                RunConfig(engine=engine, width=width, height=height)
+        else:
+            assert RunConfig(engine=engine, width=width, height=height).engine == engine
 
     def test_kv_file(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -307,6 +316,16 @@ class TestOracleCheckCommand:
         assert code == 0
         assert out.count("PASS") == 4
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--trajectories", "0"), ("--trajectories", "-5"), ("--trajectories", "1"), ("--t-total", "0.5"),
+    ])
+    def test_input_without_verdict_exit_code(self, capsys, flag, value):
+        args = {"--sites": "2", "--trajectories": "600", "--t-total": "3", "--seed": "7", flag: value}
+        assert main(["oracle-check", *(x for kv in args.items() for x in kv)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
     def test_corrupted_jump_fails(self, capsys):
         code = main(["oracle-check", "--sites", "2", "--trajectories", "600",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_product_state
-from gwmc.errors import ConfigError
+from gwmc.errors import ConfigError, NumericsError
 from gwmc.dynamics import ModelParams, RngStream, StepConfig, TrajectoryConfig, run_trajectory
 from gwmc.lattice import build_lattice
 from gwmc.oracle import (
@@ -32,9 +32,11 @@ SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 # -- reference loops ----------------------------------------------------------
 # One step-and-sample loop per oracle engine, each with its own cadence
-# arithmetic and RK4 stage sum written out; the engines on the shared driver
-# (gwmc.dynamics.step_and_sample) must match them bit for bit. They start
-# from plus_x, as the cases below do.
+# arithmetic; the engines on the shared driver (gwmc.dynamics.step_and_sample)
+# must match them bit for bit. They advance with the engine's own stepping
+# (FullWfmc._drift, DenseLindblad.integrate), so they check the cadence; the
+# stepping itself is checked against the RK4 stage sum in TestPropagator.
+# They start from plus_x, as the cases below do.
 
 def _reference_rk4_combination(f, y, dt):
     k1 = f(y)
@@ -57,7 +59,7 @@ def _reference_full_step(engine, psi, step, rng):
                     psi = engine.apply_jump(psi, site)
                 else:
                     psi[rows] = engine.apply_jump(psi[rows], site)
-    return engine._renorm(_reference_rk4_combination(engine._deriv, psi, step.dt)), n_jumps
+    return engine._renorm(engine._drift(psi, step.dt)), n_jumps
 
 
 def reference_full_wfmc_trajectory(geometry, p, traj, step, stream=0):
@@ -125,7 +127,7 @@ def reference_dense_samples(system, traj, step):
     spp = max(1, int(round(traj.sample_interval / step.dt)))
     samples = [sample(rho, 0.0)]
     for n in range(spp, n_steps + 1, spp):
-        rho = _reference_integrate(system, rho, spp * step.dt, step.dt)
+        rho = system.integrate(rho, spp * step.dt, step.dt)
         samples.append(sample(rho, n * step.dt))
     return samples
 
@@ -243,9 +245,65 @@ class TestIntegration:
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.eigvalsh(rho)[0] > -1e-8
 
-    def test_cap_enforced(self):
-        with pytest.raises(ConfigError):
-            DenseLindblad(build_lattice(4, 3), P_FERRO).integrate(np.eye(2**12, dtype=complex) / 2**12, 1.0)
+    @pytest.mark.parametrize("engine,width,height,refused", [
+        pytest.param(DenseLindblad, 3, 2, True, id="exact-3x2"),
+        pytest.param(DenseLindblad, 4, 3, True, id="exact-4x3"),
+        pytest.param(FullWfmc, 3, 2, False, id="fullwfmc-3x2"),
+        pytest.param(FullWfmc, 4, 3, True, id="fullwfmc-4x3"),
+    ])
+    def test_cap_enforced(self, engine, width, height, refused):
+        # the dense superoperator is 4^n x 4^n, so the master equation stops
+        # at 5 sites; full-space state vectors go to 10
+        if refused:
+            with pytest.raises(ConfigError):
+                engine(build_lattice(width, height), P_FERRO)
+        else:
+            assert engine(build_lattice(width, height), P_FERRO).n == width * height
+
+
+class TestPropagator:
+    """The oracle engines step by RK4's propagator matrix; it must agree
+    with the RK4 stage sum it replaces."""
+
+    @pytest.mark.parametrize("width,height", [(1, 1), (2, 1), (2, 2)])
+    def test_integrate_matches_rk4_loop(self, width, height):
+        # 3.7 is not a whole number of 1.0 check intervals: three full
+        # powers and one remainder power
+        g = build_lattice(width, height)
+        system = DenseLindblad(g, P_FERRO)
+        rho0 = product_density(plus_x_state(g.n_sites))
+        got = system.integrate(rho0, 3.7, dt=0.002)
+        want = _reference_integrate(system, rho0, 3.7, 0.002)
+        assert np.abs(got - want).max() < 1e-12
+
+    def test_full_drift_matches_rk4_sum(self, rng):
+        g = build_lattice(2, 2)
+        engine = FullWfmc(g, P_FERRO)
+        psi = rng.normal(size=(5, 16)) + 1j * rng.normal(size=(5, 16))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+
+        def deriv(y):
+            return -1j * (y @ engine.h_eff.T)
+
+        got, want = psi, psi
+        for _ in range(300):
+            got = engine._drift(got, 0.01)
+            want = _reference_rk4_combination(deriv, want, 0.01)
+        assert np.abs(got - want).max() < 1e-12
+
+    @pytest.mark.parametrize("t", [2.5, 0.5])
+    def test_corrupted_generator_detected(self, t):
+        # an rhs that leaks trace; 0.5 is inside the first check interval, so
+        # only the end-of-horizon check point sees it
+        class TraceLeak(DenseLindblad):
+            def rhs(self, rho):
+                return super().rhs(rho) - 1e-3 * rho
+
+        g = build_lattice(2, 1)
+        rho0 = product_density(plus_x_state(2))
+        DenseLindblad(g, P_FERRO).integrate(rho0, t)
+        with pytest.raises(NumericsError, match="trace"):
+            TraceLeak(g, P_FERRO).integrate(rho0, t)
 
 
 class TestSingleSpinAnalytic:
