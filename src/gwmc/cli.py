@@ -27,6 +27,7 @@ from .dynamics import (
     TrajectoryConfig,
     batch_samples,
     run_trajectory,
+    whole_steps,
 )
 from .errors import ConfigError, InsufficientDataError, NumericsError
 from .lattice import build_lattice
@@ -74,6 +75,9 @@ class RunConfig:
         for f in fields(self):
             if f.type in (float, "float") and not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        if self.dt > 0:  # StepConfig refuses the rest
+            for span in (self.t_total, self.sample_interval):
+                whole_steps(span, self.dt)
         if self.width < 1 or self.height < 1:
             raise ConfigError(f"lattice dimensions must be positive, got {self.width}x{self.height}")
         if self.engine not in ENGINES:

@@ -23,6 +23,7 @@ loop, for this engine and for the exact references in :mod:`gwmc.oracle`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -125,34 +126,144 @@ class RowStreams:
         return out
 
 
-def mean_fields(amps: np.ndarray, geometry: LatticeGeometry) -> np.ndarray:
-    """B_i^alpha = sum over neighbors j of <sigma_j^alpha>, shape (..., n, 3)."""
-    return bloch_vectors(amps)[..., geometry.neighbor_table, :].sum(axis=-2)
+# The drift kernel views a batch of N = m * n_sites spinors u = a + ib,
+# d = c + ie as the real, component-major array y = (a, b, c, e) of shape
+# (4, N). Each row of _SELECT picks one component of y, times +-1 or +-2,
+# and the rows come in blocks of four, one row per output. Rows 0-15 are
+# first factors: block j times y_j, summed over the blocks, gives
+# 2(ac + be), 2(ae - bc), a^2 + b^2 - c^2 - e^2 and |psi|^2, that is
+# (sx, sy, sz, 1) |psi|^2. Rows 16-31 are what the generator coefficients
+# Jx Bx, Jy By, Jz Bz and -gamma/2 multiply, one block per coefficient:
+# summed over the blocks, the products give dy/dt = -i h(Psi) psi.
+_A, _B, _C, _E = np.eye(4)
+_O = np.zeros(4)
+_SELECT = np.array([
+    2 * _C, 2 * _E, _A, _A,  2 * _E, -2 * _C, _B, _B,  _O, _O, -_C, _C,  _O, _O, -_E, _E,
+    _E, -_C, _B, -_A,  -_C, -_E, _A, _B,  _B, -_A, -_E, _C,  _A, _B, _O, _O,
+])
 
 
-def _derivatives(amps: np.ndarray, geometry: LatticeGeometry, p: ModelParams) -> np.ndarray:
-    """d psi / dt = -i h(Psi) psi evaluated sitewise from the given snapshot."""
-    b = mean_fields(amps, geometry)
-    a = p.jx * b[..., 0]
-    c = p.jy * b[..., 1]
-    e = p.jz * b[..., 2]
-    u = amps[..., 0]
-    d = amps[..., 1]
-    off = a - 1j * c  # upper off-diagonal of h
-    out = np.empty_like(amps)
-    out[..., 0] = -1j * ((e - 0.5j * p.gamma) * u + off * d)
-    out[..., 1] = -1j * (np.conj(off) * u - e * d)
-    return out
+def _sum_plan(x: np.ndarray, out: np.ndarray) -> list:
+    """The (a, b, out) adds that sum x over its leading axis into out, in a
+    fixed order: (x0 + x2) + (x1 + x3) for four terms, (x0 + x2) + x1 for
+    three. They overwrite x; at least two terms."""
+    plan = []
+    while len(x) > 2:
+        if len(x) % 2:  # an odd last term goes into the first
+            plan.append((x[0], x[-1], x[0]))
+            x = x[:-1]
+        else:
+            half = len(x) // 2
+            plan.append((x[:half], x[half:], x[:half]))
+            x = x[:half]
+    plan.append((x[0], x[1], out))
+    return plan
 
 
-def _rk4(f, y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of dy/dt = f(y), for the manifold engine's
-    nonlinear drift; the linear oracle engines step by a propagator matrix."""
-    k1 = f(y)
-    k2 = f(y + (0.5 * dt) * k1)
-    k3 = f(y + (0.5 * dt) * k2)
-    k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _run(plan) -> None:
+    for a, b, out in plan:
+        np.add(a, b, out=out)
+
+
+class _DriftKernel:
+    """The no-jump RK4 step of one geometry and its (stacked) couplings.
+
+    A derivative stage is a dozen numpy calls on (4, N) arrays: one matmul
+    by _SELECT, the quadratic products and their sum, one divide to Bloch
+    vectors, the neighbour sum (a take on the neighbour table and a sum),
+    the generator coefficients, and the sum of their products with the
+    selected components. Every matrix BLAS sees has at most one nonzero per
+    output, so each entry is one exact product; every sum of two or more
+    terms is an elementwise add in a fixed order. So no result depends on
+    the batch width: each row of a batch is bit-identical to its spinors
+    stepped alone. The buffers, and the views into them that a stage uses,
+    are made once per batch width.
+    """
+
+    def __init__(self, geometry: LatticeGeometry, p: ModelParams):
+        self.geometry = geometry
+        self.p = p
+        couplings = np.broadcast_arrays(*(np.asarray(v, float) for v in (p.jx, p.jy, p.jz)))
+        self._couplings = np.stack(couplings).reshape(3, -1, 1)  # (3, 1 or one per row, 1)
+        self._size = None
+
+    def _fit(self, size: int) -> None:
+        n = self.geometry.n_sites
+        degree = self.geometry.degree
+        z = self._selected = np.empty((len(_SELECT), size))
+        quad = self._quad = z[:16].reshape(4, 4, size)
+        self._quad_sum = _sum_plan(quad, quad[0])
+        self._bloch = np.empty((3, size))
+        self._ratio = z[:3], z[3], self._bloch  # (sx, sy, sz) |psi|^2 / |psi|^2
+        sites = self.geometry.neighbor_table.T[:, None, :] + np.arange(size // n)[:, None] * n
+        self._gather = sites.reshape(degree, 1, size) + np.arange(3)[:, None] * size  # flat, into Bloch
+        gen = self._generator = np.empty((4, size))
+        gen[3] = -0.5 * self.p.gamma
+        field = self._field = np.zeros((max(degree, 1), 3, size))  # stays zero with no neighbours
+        self._field_sum = _sum_plan(field, gen[:3]) if degree > 1 else []
+        total = gen[:3] if degree > 1 else field[0]
+        groups = self._couplings.shape[1]
+        self._coefficients = total.reshape(3, groups, -1), gen[:3].reshape(3, groups, -1)
+        terms = z[16:].reshape(4, 4, size)
+        self._terms = terms, gen[:, None, :]
+        self._acc, self._k, self._stage_input = np.empty((3, 4, size))
+        self._term_sums = _sum_plan(terms, self._acc), _sum_plan(terms, self._k)
+        self._size = size
+
+    def _stage(self, x: np.ndarray, into: int, mask) -> np.ndarray:
+        """dy/dt = -i h(Psi) psi at the snapshot x, zero off the mask, into
+        the accumulator (into = 0, the first stage) or the stage buffer."""
+        np.matmul(_SELECT, x, out=self._selected)
+        np.multiply(self._quad, x[:, None, :], out=self._quad)
+        _run(self._quad_sum)
+        np.divide(*self._ratio)
+        if len(self._gather):
+            np.take(self._bloch, self._gather, out=self._field, mode="clip")  # "raise" buffers out
+        _run(self._field_sum)
+        total, coefficients = self._coefficients
+        np.multiply(total, self._couplings, out=coefficients)
+        terms, generator = self._terms
+        np.multiply(terms, generator, out=terms)
+        _run(self._term_sums[into])
+        k = (self._acc, self._k)[into]
+        if mask is not None:
+            k *= mask
+        return k
+
+    def __call__(self, amps: np.ndarray, dt: float, active: np.ndarray | None) -> np.ndarray:
+        """One classical RK4 step of the drift, not renormalized: y + dt/6
+        (((k1 + 2 k2) + 2 k3) + k4), with k1 kept in the accumulator."""
+        amps = np.ascontiguousarray(amps, dtype=np.complex128)
+        y = amps.view(np.float64).reshape(-1, 4).T
+        if y.shape[1] != self._size:
+            self._fit(y.shape[1])
+        mask = None if active is None else active.reshape(-1)
+        acc = self._stage(y, 0, mask)
+        x = np.multiply(acc, 0.5 * dt, out=self._stage_input)
+        x += y
+        for c in (0.5 * dt, dt, None):
+            k = self._stage(x, 1, mask)
+            if c is not None:  # the next stage's snapshot y + c k
+                np.multiply(k, c, out=x)
+                x += y
+                k *= 2.0
+            acc += k
+        acc *= dt / 6.0
+        out = np.empty_like(amps)
+        np.add(y, acc, out=out.view(np.float64).reshape(-1, 4).T)
+        return out
+
+
+_kernel: _DriftKernel | None = None
+
+
+def _drift_kernel(geometry: LatticeGeometry, p: ModelParams) -> _DriftKernel:
+    """The kernel of (geometry, p), rebuilt when either is a new object:
+    batch_samples stacks its couplings once, so each of its runs builds one."""
+    global _kernel
+    if _kernel is None or _kernel.geometry is not geometry or _kernel.p is not p:
+        _kernel = _DriftKernel(geometry, p)
+    return _kernel
 
 
 def deterministic_step(
@@ -167,13 +278,7 @@ def deterministic_step(
     ``active`` masks the sites being advanced; masked-out sites hold their
     value through every stage (they still source the mean fields).
     """
-    mask = None if active is None else active[..., None].astype(float)
-
-    def f(x):
-        k = _derivatives(x, geometry, p)
-        return k if mask is None else k * mask
-
-    return renormalize(_rk4(f, amps, dt))
+    return renormalize(_drift_kernel(geometry, p)(amps, dt, active))
 
 
 def jump_probabilities(amps: np.ndarray, p: ModelParams, dt: float) -> np.ndarray:
@@ -265,6 +370,16 @@ def k_steps(advance_once, rows: int):
     return advance_k
 
 
+def whole_steps(duration: float, dt: float) -> int:
+    """duration / dt rounded to whole steps, as :func:`step_and_sample`
+    counts time. Refuses a dt so small against duration that the count
+    overflows."""
+    count = duration / dt
+    if not math.isfinite(count):
+        raise ConfigError(f"dt = {dt:g} is too small: {duration:g} / dt is not a finite step count")
+    return int(round(count))
+
+
 def step_and_sample(state, advance, observe, traj: TrajectoryConfig, step: StepConfig,
                     rows: int = 1, trap: bool = False, totals: np.ndarray | None = None):
     """The one step-and-sample loop, shared by all three engines.
@@ -284,8 +399,8 @@ def step_and_sample(state, advance, observe, traj: TrajectoryConfig, step: StepC
     """
     if traj.sample_interval < step.dt:
         raise ConfigError("sample_interval must be at least dt")
-    n_steps = int(round(traj.t_total / step.dt))
-    spp = int(round(traj.sample_interval / step.dt))
+    n_steps = whole_steps(traj.t_total, step.dt)
+    spp = whole_steps(traj.sample_interval, step.dt)
 
     obs = observe(state)
     trapped = np.zeros(rows, dtype=bool)

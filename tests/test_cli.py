@@ -131,6 +131,12 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not list(tmp_path.iterdir())
 
+    def test_step_count_overflow_exit_code(self, tmp_path, capsys):
+        # t_total / dt is not a finite step count
+        assert main(["run", *_run_args(tmp_path, "dt", dt="1e-320")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("line", ["width = 2.5", "seed = one", "jy = strong"])
     def test_malformed_config_file_value(self, tmp_path, capsys, line):
         config = tmp_path / "cfg.txt"
@@ -191,6 +197,12 @@ class TestSweepCommand:
     @pytest.mark.parametrize("values", ["nan", "1.2,inf"])
     def test_non_finite_values_config_error(self, tmp_path, capsys, values):
         args = _run_args(tmp_path, "s") + ["--values", values]
+        assert main(["sweep", *args]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.iterdir())
+
+    def test_step_count_overflow_config_error(self, tmp_path, capsys):
+        args = _run_args(tmp_path, "s", dt="1e-320") + ["--values", "1.2"]
         assert main(["sweep", *args]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not list(tmp_path.iterdir())

@@ -6,6 +6,8 @@ from conftest import random_product_state
 from gwmc.errors import ConfigError, NumericsError
 from gwmc.dynamics import (
     ModelParams,
+    _DriftKernel,
+    _stack_params,
     RngStream,
     RowStreams,
     StepConfig,
@@ -15,16 +17,70 @@ from gwmc.dynamics import (
     deterministic_step,
     jump_probabilities,
     load_checkpoint,
-    mean_fields,
     run_ensemble,
     run_trajectory,
     save_checkpoint,
 )
 from gwmc.lattice import build_lattice
 from gwmc.observables import Accumulator
-from gwmc.state import bloch_vectors, down_state, is_dark, plus_x_state, save_state_csv, z2_flip
+from gwmc.state import (
+    bloch_vectors,
+    down_state,
+    is_dark,
+    plus_x_state,
+    renormalize,
+    save_state_csv,
+    z2_flip,
+)
 
 P_FERRO = ModelParams(jx=0.9, jy=1.2, jz=1.0)
+
+
+# -- reference kernel: the drift in complex arithmetic, for the lean kernel to match
+
+def mean_fields(amps: np.ndarray, geometry) -> np.ndarray:
+    """B_i^alpha = sum over neighbors j of <sigma_j^alpha>, shape (..., n, 3)."""
+    return bloch_vectors(amps)[..., geometry.neighbor_table, :].sum(axis=-2)
+
+
+def reference_derivatives(amps: np.ndarray, geometry, p: ModelParams) -> np.ndarray:
+    """d psi / dt = -i h(Psi) psi evaluated sitewise from the given snapshot."""
+    b = mean_fields(amps, geometry)
+    a = p.jx * b[..., 0]
+    c = p.jy * b[..., 1]
+    e = p.jz * b[..., 2]
+    u = amps[..., 0]
+    d = amps[..., 1]
+    off = a - 1j * c  # upper off-diagonal of h
+    out = np.empty_like(amps)
+    out[..., 0] = -1j * ((e - 0.5j * p.gamma) * u + off * d)
+    out[..., 1] = -1j * (np.conj(off) * u - e * d)
+    return out
+
+
+def reference_step(amps, geometry, p: ModelParams, dt: float, active=None) -> np.ndarray:
+    """One classical RK4 step of the masked drift, renormalized."""
+    mask = 1.0 if active is None else active[..., None].astype(float)
+
+    def f(x):
+        return reference_derivatives(x, geometry, p) * mask
+
+    k1 = f(amps)
+    k2 = f(amps + (0.5 * dt) * k1)
+    k3 = f(amps + (0.5 * dt) * k2)
+    k4 = f(amps + dt * k3)
+    return renormalize(amps + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
+
+def kernel_derivatives(amps: np.ndarray, geometry, p: ModelParams) -> np.ndarray:
+    """The lean kernel's drift stage on a complex (n, 2) state."""
+    y = amps.view(np.float64).reshape(-1, 4).T
+    kernel = _DriftKernel(geometry, p)
+    kernel._fit(y.shape[1])
+    return np.ascontiguousarray(kernel._stage(y, 0, None).T).view(np.complex128).reshape(amps.shape)
+
+
+KERNEL_LATTICES = [(1, 1), (2, 1), (2, 2), (3, 2), (4, 3), (5, 5), (6, 6)]  # degrees 0-4
 
 
 def apply_jump(i: int, amps: np.ndarray) -> np.ndarray:
@@ -104,11 +160,9 @@ class TestLocalHamiltonian:
     def test_matches_vectorized_derivative(self, rng):
         # the batched drift must equal -i h_i psi_i built sitewise
         g = build_lattice(3, 4)
-        from gwmc.dynamics import _derivatives
-
         for _ in range(25):
             amps = random_product_state(rng, 12)
-            deriv = _derivatives(amps, g, P_FERRO)
+            deriv = kernel_derivatives(amps, g, P_FERRO)
             b = mean_fields(amps, g)
             for i in range(12):
                 h = local_effective_hamiltonian(b[i], P_FERRO)
@@ -165,6 +219,40 @@ class TestDeterministicStep:
         amps[1] *= scale
         with pytest.raises(NumericsError):
             deterministic_step(amps, g, P_FERRO, 0.01)
+
+
+class TestDriftKernel:
+    @pytest.mark.parametrize("rows", [2, 3, 7, 64])
+    @pytest.mark.parametrize("size", KERNEL_LATTICES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_rows_match_solo_steps(self, size, rows):
+        # each row of a batched step, with its own couplings, plain and with
+        # jumped sites held, must be bit for bit the same step taken alone
+        g = build_lattice(*size)
+        rng = np.random.default_rng(rows * 100 + g.n_sites)
+        params = [ModelParams(*rng.uniform(-2, 2, size=3)) for _ in range(rows)]
+        amps = random_product_state(rng, rows * g.n_sites).reshape(rows, g.n_sites, 2)
+        active = rng.random((rows, g.n_sites)) > 0.2
+        held = amps.copy()
+        held[~active] = (0.0, 1.0)
+        p = _stack_params(params)
+        plain = deterministic_step(amps, g, p, 0.01)
+        masked = deterministic_step(held, g, p, 0.01, active=active)
+        for k, q in enumerate(params):
+            assert plain[k].tobytes() == deterministic_step(amps[k], g, q, 0.01).tobytes()
+            assert masked[k].tobytes() == deterministic_step(held[k], g, q, 0.01, active=active[k]).tobytes()
+
+    @pytest.mark.parametrize("size", KERNEL_LATTICES + [(32, 32)], ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_matches_reference_kernel(self, size):
+        g = build_lattice(*size)
+        rng = np.random.default_rng(g.n_sites)
+        amps = random_product_state(rng, g.n_sites)
+        active = rng.random(g.n_sites) > 0.2
+        held = amps.copy()
+        held[~active] = (0.0, 1.0)
+        for state, mask in ((amps, None), (held, active)):
+            new = deterministic_step(state, g, P_FERRO, 0.01, active=mask)
+            old = reference_step(state, g, P_FERRO, 0.01, active=mask)
+            assert np.abs(bloch_vectors(new) - bloch_vectors(old)).max() <= 1e-13
 
 
 class TestJumps:
