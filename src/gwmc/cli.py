@@ -139,8 +139,12 @@ def _convert(name: str, type_name, raw: str):
 
 def parse_kv_file(path) -> dict[str, str]:
     """Flat key = value file; '#' starts a comment, unknown keys are kept."""
+    try:
+        fh = open(path)
+    except OSError as err:
+        raise ConfigError(f"cannot read config file {path}: {err.strerror}") from None
     out = {}
-    with open(path) as fh:
+    with fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -231,6 +235,8 @@ class SweepConfig:
             raise ConfigError("sweep needs a non-empty value list")
         if self.trajectories < 1:
             raise ConfigError("trajectories must be positive")
+        if self.base.engine != "gutzwiller":
+            raise ConfigError("a sweep runs batched manifold trajectories; set engine = gutzwiller")
         if self.param == "size" and not all(float(v).is_integer() and v >= 1 for v in self.values):
             raise ConfigError(f"sizes must be positive integers, got {self.values}")
 
@@ -395,23 +401,14 @@ def cmd_oracle_check(cfg: RunConfig, sites: int, trajectories: int,
 # -- argument parsing ----------------------------------------------------------
 
 def _add_config_flags(sub):
+    """One flag per RunConfig field, plus --config."""
     sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument("--width", type=int)
-    sub.add_argument("--height", type=int)
-    sub.add_argument("--jx", type=float)
-    sub.add_argument("--jy", type=float)
-    sub.add_argument("--jz", type=float)
-    sub.add_argument("--gamma", type=float)
-    sub.add_argument("--t-total", type=float, dest="t_total")
-    sub.add_argument("--burn-in", type=float, dest="burn_in")
-    sub.add_argument("--sample-interval", type=float, dest="sample_interval")
-    sub.add_argument("--dt", type=float)
-    sub.add_argument("--max-jump-prob", type=float, dest="max_jump_prob")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--initial-state", dest="initial_state")
-    sub.add_argument("--engine", choices=ENGINES)
-    sub.add_argument("--workers", type=int)
-    sub.add_argument("--out")
+    for f in fields(RunConfig):
+        sub.add_argument(
+            "--" + f.name.replace("_", "-"),
+            type={"int": int, "float": float}.get(f.type),
+            choices=ENGINES if f.name == "engine" else None,
+        )
 
 
 def _config_from_args(args) -> RunConfig:
@@ -426,11 +423,13 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _parse_values(raw: str):
+    entries = raw.split(",")
+    if any(not v.strip() for v in entries):
+        raise ConfigError(f"value list {raw!r} has an empty entry")
     try:
-        values = tuple(float(v) for v in raw.split(",") if v.strip() != "")
+        return tuple(float(v) for v in entries)
     except ValueError as err:
-        raise ConfigError(f"bad value list {raw!r}: {err}")
-    return values
+        raise ConfigError(f"bad value list {raw!r}: {err}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,7 +469,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             file_kv = parse_kv_file(args.config) if args.config else {}
             param = args.param or file_kv.get("param", "jy")
-            raw_values = args.values or file_kv.get("values")
+            raw_values = args.values if args.values is not None else file_kv.get("values")
             if raw_values is None:
                 raise ConfigError("sweep needs --values")
             trajectories = (args.trajectories if args.trajectories is not None
@@ -484,8 +483,9 @@ def main(argv=None) -> int:
             return cmd_sweep(sweep)
         if args.command == "mf-curve":
             file_kv = parse_kv_file(args.config) if args.config else {}
-            raw_values = args.values or file_kv.get("values")
-            values = _parse_values(raw_values) if raw_values else tuple(np.arange(1.0, 2.5001, 0.025))
+            raw_values = args.values if args.values is not None else file_kv.get("values")
+            values = (tuple(np.arange(1.0, 2.5001, 0.025)) if raw_values is None
+                      else _parse_values(raw_values))
             return cmd_mf_curve(_config_from_args(args), values)
         if args.command == "oracle-check":
             # the consistency checks live on a short horizon, not a production one

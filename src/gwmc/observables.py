@@ -225,28 +225,6 @@ class Accumulator:
             out.class_count = self.class_count + other.class_count
         return out
 
-    def to_kv(self) -> dict[str, str]:
-        kv = {}
-        for name, (n, mean, m2) in sorted(self._scalars.items()):
-            kv[f"acc_{name}"] = f"{n},{float(mean)!r},{float(m2)!r}"
-        if self.class_sums.size:
-            kv["acc_class_count"] = str(self.class_count)
-            kv["acc_class_sums"] = ",".join(repr(float(v)) for v in self.class_sums)
-        return kv
-
-    @classmethod
-    def from_kv(cls, kv: dict[str, str]) -> "Accumulator":
-        acc = cls()
-        for key, raw in kv.items():
-            if key == "acc_class_count":
-                acc.class_count = int(raw)
-            elif key == "acc_class_sums":
-                acc.class_sums = np.array([float(v) for v in raw.split(",")])
-            elif key.startswith("acc_"):
-                n, mean, m2 = raw.split(",")
-                acc._scalars[key[4:]] = [int(n), float(mean), float(m2)]
-        return acc
-
 
 def mf_structure_factor(p) -> float:
     """Single-site mean-field k=0 structure factor (squared magnetization).

@@ -13,7 +13,7 @@ import csv
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import ConfigError, NumericsError
 
 # squared-norm floor below which a spinor is considered numerically destroyed
 _NORM2_FLOOR = 1e-24
@@ -91,6 +91,9 @@ def is_dark(bloch: np.ndarray, tol: float = 1e-12):
     return down.all(axis=-1)
 
 
+_SNAPSHOT_HEADER = ["site_index", "re_up", "im_up", "re_down", "im_down"]
+
+
 def save_state_csv(path, amps: np.ndarray) -> None:
     """Write a snapshot with rows: site_index, re_up, im_up, re_down, im_down."""
     amps = np.asarray(amps)
@@ -98,7 +101,7 @@ def save_state_csv(path, amps: np.ndarray) -> None:
         raise ValueError("expected a single (n_sites, 2) state")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["site_index", "re_up", "im_up", "re_down", "im_down"])
+        writer.writerow(_SNAPSHOT_HEADER)
         for i, (u, d) in enumerate(amps):
             writer.writerow(
                 [i, f"{u.real:.17g}", f"{u.imag:.17g}", f"{d.real:.17g}", f"{d.imag:.17g}"]
@@ -106,16 +109,32 @@ def save_state_csv(path, amps: np.ndarray) -> None:
 
 
 def load_state_csv(path) -> np.ndarray:
-    """Read a snapshot written by :func:`save_state_csv`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:1] != ["site_index"]:
-            raise ValueError(f"not a state snapshot: {path}")
-        rows = [(int(r[0]), complex(float(r[1]), float(r[2])), complex(float(r[3]), float(r[4])))
-                for r in reader if r]
-    rows.sort()
-    amps = np.array([[u, d] for _, u, d in rows], dtype=np.complex128)
-    if len(amps) == 0:
-        raise ValueError(f"empty state snapshot: {path}")
+    """Read a snapshot written by :func:`save_state_csv`.
+
+    Raises ConfigError for a missing or malformed file, for site indices
+    other than 0..n-1 each once, and for a spinor that is not finite or has
+    no norm.
+    """
+    try:
+        with open(path, newline="") as fh:
+            rows = [r for r in csv.reader(fh) if r]
+    except OSError as err:
+        raise ConfigError(f"cannot read state snapshot {path}: {err.strerror}") from None
+    if len(rows) < 2 or rows[0] != _SNAPSHOT_HEADER:
+        raise ConfigError(f"not a state snapshot (the header, then a row per site): {path}")
+    rows = rows[1:]
+    if any(len(r) != len(_SNAPSHOT_HEADER) for r in rows):
+        raise ConfigError(f"state snapshot {path}: every row needs {len(_SNAPSHOT_HEADER)} fields")
+    try:
+        sites = [int(r[0]) for r in rows]
+        parts = np.array([[float(v) for v in r[1:]] for r in rows])
+    except ValueError as err:
+        raise ConfigError(f"malformed state snapshot {path}: {err}") from None
+    if sorted(sites) != list(range(len(rows))):
+        raise ConfigError(f"state snapshot {path} must list sites 0..{len(rows) - 1}, each once")
+    # (re_up, im_up, re_down, im_down) rows are (n, 2) complex pairs in memory
+    amps = parts.view(np.complex128)[np.argsort(sites)]
+    norm2 = _abs2(amps).sum(axis=-1)
+    if not np.all(np.isfinite(norm2) & (norm2 >= _NORM2_FLOOR)):
+        raise ConfigError(f"state snapshot {path} holds a spinor that is not finite or has no norm")
     return amps

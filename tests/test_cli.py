@@ -154,15 +154,35 @@ class TestRunCommand:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("case", ["four_site_snapshot", "dark_snapshot", "sample_interval_below_dt"])
+    @pytest.mark.parametrize("case", [
+        "four_site_snapshot", "dark_snapshot", "sample_interval_below_dt", "missing_snapshot",
+        "missing_config", "wrong_header", "short_row", "nan_amplitude", "zero_norm_spinor",
+        "repeated_site",
+    ])
     def test_engines_share_input_checks(self, tmp_path, capsys, engine, case):
         # all engines resolve the initial state and the sampling cadence in
         # one place, so each refuses the same bad inputs on a 2-site lattice
-        over = {"sample-interval": "0.005", "dt": "0.01"}
-        if case != "sample_interval_below_dt":
-            snapshot = tmp_path / "init.csv"
-            save_state_csv(snapshot, plus_x_state(4) if case == "four_site_snapshot" else down_state(2))
-            over = {"initial-state": str(snapshot)}
+        snapshot = tmp_path / "init.csv"
+        broken_lines = {  # line number and text replacing it in a valid 2-site snapshot
+            "wrong_header": (0, "site,re_up,im_up,re_down,im_down"),
+            "short_row": (2, "1,0.6,0"),
+            "nan_amplitude": (2, "1,nan,0,0.8,0"),
+            "zero_norm_spinor": (2, "1,0,0,0,0"),
+            "repeated_site": (2, "0,0.6,0,0.8,0"),
+        }
+        over = {"initial-state": str(snapshot)}
+        if case == "sample_interval_below_dt":
+            over = {"sample-interval": "0.005", "dt": "0.01"}
+        elif case == "missing_config":
+            over = {"config": str(tmp_path / "absent.txt")}
+        elif case != "missing_snapshot":
+            states = {"four_site_snapshot": plus_x_state(4), "dark_snapshot": down_state(2)}
+            save_state_csv(snapshot, states.get(case, plus_x_state(2)))
+            if case in broken_lines:
+                lines = snapshot.read_text().splitlines()
+                number, text = broken_lines[case]
+                lines[number] = text
+                snapshot.write_text("\n".join(lines) + "\n")
         before = list(tmp_path.iterdir())
         args = _run_args(tmp_path, "bad", engine=engine, width="2", height="1",
                          **{"t-total": "2", "burn-in": "0.5", **over})
@@ -181,12 +201,30 @@ class TestRunCommand:
 
 
 class TestSweepCommand:
-    def test_empty_values_config_error(self, tmp_path):
-        args = _run_args(tmp_path, "s") + ["--values", "", "--trajectories", "1"]
-        assert main(["sweep", *args]) == 1
+    @pytest.mark.parametrize("command", ["sweep", "mf-curve"])
+    @pytest.mark.parametrize("values", [
+        pytest.param("", id="empty"),
+        pytest.param("1.2,,2.5", id="inner"),
+        pytest.param("1.2,", id="trailing"),
+    ])
+    def test_empty_values_config_error(self, tmp_path, capsys, command, values):
+        # the value-list parser is shared; mf-curve falls back to its
+        # default grid only when no list is given at all
+        args = _run_args(tmp_path, "s") + ["--values", values]
+        assert main([command, *args]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.iterdir())
 
     def test_missing_values_flag(self, tmp_path):
         assert main(["sweep", *_run_args(tmp_path, "s")]) == 1
+
+    @pytest.mark.parametrize("engine", ["fullwfmc", "exact"])
+    def test_oracle_engines_config_error(self, tmp_path, capsys, engine):
+        # a sweep batches manifold trajectories only
+        args = _run_args(tmp_path, "s", engine=engine, width="2", height="2") + ["--values", "1.2,2.5"]
+        assert main(["sweep", *args]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.iterdir())
 
     def test_zero_trajectories_config_error(self, tmp_path, capsys):
         args = _run_args(tmp_path, "s") + ["--values", "1.2", "--trajectories", "0"]

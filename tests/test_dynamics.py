@@ -16,13 +16,10 @@ from gwmc.dynamics import (
     batch_samples,
     deterministic_step,
     jump_probabilities,
-    load_checkpoint,
     run_ensemble,
     run_trajectory,
-    save_checkpoint,
 )
 from gwmc.lattice import build_lattice
-from gwmc.observables import Accumulator
 from gwmc.state import (
     bloch_vectors,
     down_state,
@@ -514,33 +511,6 @@ class TestStepSizeConvergence:
             estimates.append((est.value, est.standard_error))
         (m1, s1), (m2, s2) = estimates
         assert abs(m1 - m2) < 3.0 * np.hypot(s1, s2)
-
-
-class TestCheckpoint:
-    def test_resume_reproduces_run(self, rng, tmp_path):
-        g = build_lattice(3, 3)
-        step = StepConfig()
-        gen = RngStream(13).generator()
-        amps = plus_x_state(9)
-        for _ in range(50):
-            amps, _ = advance(amps, g, P_FERRO, step, gen)
-        acc = Accumulator()
-        acc.add("mx", 0.25)
-        prefix = str(tmp_path / "ckpt")
-        save_checkpoint(prefix, amps, 0.5, gen, acc)
-
-        cont = amps.copy()
-        for _ in range(50):
-            cont, _ = advance(cont, g, P_FERRO, step, gen)
-
-        amps2, t2, gen2, acc2 = load_checkpoint(prefix)
-        assert t2 == 0.5
-        assert acc2.mean("mx") == 0.25
-        assert np.array_equal(amps2, amps)
-        resumed = amps2
-        for _ in range(50):
-            resumed, _ = advance(resumed, g, P_FERRO, step, gen2)
-        assert np.array_equal(bloch_vectors(resumed), bloch_vectors(cont))
 
 
 class TestEnsemble:

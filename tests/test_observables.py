@@ -257,16 +257,6 @@ class TestAccumulator:
         merged = a.combine(b)
         assert np.allclose(merged.class_mean(), whole.class_mean(), atol=1e-14)
 
-    def test_kv_roundtrip(self, rng):
-        acc = Accumulator()
-        for v in rng.normal(size=30):
-            acc.add("sxx", v)
-        acc.add_class_row(np.array([0.1, 0.2]))
-        back = Accumulator.from_kv(acc.to_kv())
-        assert back.mean("sxx") == acc.mean("sxx")
-        assert back.variance("sxx") == acc.variance("sxx")
-        assert np.array_equal(back.class_sums, acc.class_sums)
-
 
 class TestMeanFieldClosedForm:
     def test_ferromagnetic_value(self):
