@@ -39,7 +39,8 @@ from .observables import (
     mf_structure_factor,
     mf_transition_point,
 )
-from .oracle import MAX_DENSE_SITES, MAX_SITES, DenseLindblad, full_wfmc_trajectory, oracle_report
+from .oracle import (_GEOMETRY_FOR_SITES, MAX_DENSE_SITES, MAX_SITES, DenseLindblad,
+                     full_wfmc_trajectory, oracle_report)
 
 ENGINES = ("gutzwiller", "fullwfmc", "exact")
 WORKERS_ENV = "GWMC_WORKERS"
@@ -122,19 +123,19 @@ class RunConfig:
         """Build from a flat string mapping; unknown keys are ignored so a
         metadata file can be fed straight back in as a config."""
         kwargs = {
-            f.name: _convert(f.name, f.type, mapping[f.name]) for f in fields(cls) if f.name in mapping
+            f.name: _convert(f.name, _KINDS[f.name], mapping[f.name]) for f in fields(cls) if f.name in mapping
         }
         return cls(**kwargs)
 
 
-def _convert(name: str, type_name, raw: str):
-    for kind in (int, float):
-        if type_name in (kind, kind.__name__):
-            try:
-                return kind(raw)
-            except ValueError:
-                raise ConfigError(f"{name} must be {kind.__name__}, got {raw!r}") from None
-    return raw
+def _convert(name: str, kind, raw: str):
+    """A key's text as its kind; the value-list parser raises its own errors."""
+    try:
+        return kind(raw)
+    except ConfigError:
+        raise
+    except ValueError:
+        raise ConfigError(f"{name} must be {kind.__name__}, got {raw!r}") from None
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -319,7 +320,8 @@ def run_sweep(sweep: SweepConfig):
     return rows
 
 
-def cmd_sweep(sweep: SweepConfig) -> int:
+def cmd_sweep(cfg: RunConfig, **keys) -> int:
+    sweep = SweepConfig(cfg, **keys)
     rows = run_sweep(sweep)
     out = sweep.base.out
     with open(f"{out}_sweep.csv", "w") as fh:
@@ -382,45 +384,15 @@ def cmd_mf_curve(cfg: RunConfig, values) -> int:
 
 # -- oracle-check --------------------------------------------------------------
 
-def cmd_oracle_check(cfg: RunConfig, sites: int, trajectories: int,
-                     t_total: float, corrupt_jumps: bool) -> int:
-    report = oracle_report(
-        sites,
-        cfg.model(),
-        t_total=t_total,
-        n_traj=trajectories,
-        seed=cfg.seed,
-        dt=cfg.dt,
-        corrupt_jumps=corrupt_jumps,
-    )
+def cmd_oracle_check(cfg: RunConfig, sites: int, trajectories: int) -> int:
+    report = oracle_report(sites, cfg.model(), t_total=cfg.t_total, n_traj=trajectories,
+                           seed=cfg.seed, dt=cfg.dt)
     for line in report.lines():
         print(line)
     return 0 if report.passed else 2
 
 
-# -- argument parsing ----------------------------------------------------------
-
-def _add_config_flags(sub):
-    """One flag per RunConfig field, plus --config."""
-    sub.add_argument("--config", help="flat key = value config file")
-    for f in fields(RunConfig):
-        sub.add_argument(
-            "--" + f.name.replace("_", "-"),
-            type={"int": int, "float": float}.get(f.type),
-            choices=ENGINES if f.name == "engine" else None,
-        )
-
-
-def _config_from_args(args) -> RunConfig:
-    mapping = {}
-    if args.config:
-        mapping.update(parse_kv_file(args.config))
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            mapping[f.name] = str(value)
-    return RunConfig.from_mapping(mapping)
-
+# -- command table -------------------------------------------------------------
 
 def _parse_values(raw: str):
     entries = raw.split(",")
@@ -432,68 +404,62 @@ def _parse_values(raw: str):
         raise ConfigError(f"bad value list {raw!r}: {err}") from None
 
 
+_RUN_FIELDS = tuple(f.name for f in fields(RunConfig))
+_KINDS = {f.name: {"int": int, "float": float}.get(f.type, str) for f in fields(RunConfig)}
+_KINDS.update(param=str, values=_parse_values, trajectories=int, sites=int)
+_CHOICES = {"engine": ENGINES, "param": ("jy", "size"), "sites": tuple(map(str, _GEOMETRY_FOR_SITES))}
+
+# The keys each command reads, each both a flag and a --config key, with
+# the command's default as config text; a key left at None takes the
+# RunConfig field's own default, or the handler's.
+_RUN_KEYS = dict.fromkeys(k for k in _RUN_FIELDS if k != "workers")  # one trajectory, no pool
+COMMANDS = {
+    "run": _RUN_KEYS,
+    "correlate": _RUN_KEYS,
+    "sweep": {**dict.fromkeys(_RUN_FIELDS), "param": "jy", "values": None, "trajectories": "1"},
+    "mf-curve": {
+        **dict.fromkeys(("jx", "jz", "gamma", "out")),
+        "values": ",".join(str(float(v)) for v in np.arange(1.0, 2.5001, 0.025)),
+    },
+    # The checks live on a short horizon, not a production one. They read
+    # no width, height or out, which the benchmark passes to every command.
+    "oracle-check": {
+        **dict.fromkeys(("width", "height", "jx", "jy", "jz", "gamma", "dt", "seed", "out")),
+        "t_total": "10", "sites": "2", "trajectories": "4000",
+    },
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gwmc", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("run", "correlate"):
+    for name, keys in COMMANDS.items():
         sub = subs.add_parser(name)
-        _add_config_flags(sub)
-
-    sweep = subs.add_parser("sweep")
-    _add_config_flags(sweep)
-    sweep.add_argument("--param", choices=("jy", "size"))
-    sweep.add_argument("--values", help="comma-separated sweep values")
-    sweep.add_argument("--trajectories", type=int)
-
-    mf = subs.add_parser("mf-curve")
-    _add_config_flags(mf)
-    mf.add_argument("--values", help="comma-separated Jy grid (default 1.0..2.5 step 0.025)")
-
-    oracle = subs.add_parser("oracle-check")
-    _add_config_flags(oracle)
-    oracle.add_argument("--sites", type=int, default=2, choices=(1, 2, 4))
-    oracle.add_argument("--trajectories", type=int, default=4000)
-    oracle.add_argument("--corrupt-jumps", action="store_true", help=argparse.SUPPRESS)
+        sub.add_argument("--config", help="flat key = value file; flags override it")
+        for key in keys:
+            sub.add_argument("--" + key.replace("_", "-"), choices=_CHOICES.get(key))
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return cmd_run(_config_from_args(args))
-        if args.command == "correlate":
-            return cmd_correlate(_config_from_args(args))
-        if args.command == "sweep":
-            file_kv = parse_kv_file(args.config) if args.config else {}
-            param = args.param or file_kv.get("param", "jy")
-            raw_values = args.values if args.values is not None else file_kv.get("values")
-            if raw_values is None:
-                raise ConfigError("sweep needs --values")
-            trajectories = (args.trajectories if args.trajectories is not None
-                            else _convert("trajectories", int, file_kv.get("trajectories", "1")))
-            sweep = SweepConfig(
-                base=_config_from_args(args),
-                param=param,
-                values=_parse_values(raw_values),
-                trajectories=trajectories,
-            )
-            return cmd_sweep(sweep)
-        if args.command == "mf-curve":
-            file_kv = parse_kv_file(args.config) if args.config else {}
-            raw_values = args.values if args.values is not None else file_kv.get("values")
-            values = (tuple(np.arange(1.0, 2.5001, 0.025)) if raw_values is None
-                      else _parse_values(raw_values))
-            return cmd_mf_curve(_config_from_args(args), values)
-        if args.command == "oracle-check":
-            # the consistency checks live on a short horizon, not a production one
-            t_total = args.t_total if args.t_total is not None else 10.0
-            return cmd_oracle_check(
-                _config_from_args(args), args.sites, args.trajectories, t_total, args.corrupt_jumps
-            )
-        raise ConfigError(f"unknown command {args.command!r}")
+        args = build_parser().parse_args(argv)
+    except SystemExit as done:  # --help and --version give 0, a parser error 1
+        return 1 if done.code else 0
+    # looked up per call, so that wrappers set on this module (a tracer) are seen
+    handler = {"run": cmd_run, "correlate": cmd_correlate, "sweep": cmd_sweep,
+               "mf-curve": cmd_mf_curve, "oracle-check": cmd_oracle_check}[args.command]
+    try:
+        file_kv = parse_kv_file(args.config) if args.config else {}
+        text = {}
+        for key, default in COMMANDS[args.command].items():
+            for value in (getattr(args, key), file_kv.get(key), default):  # flag, file, default
+                if value is not None:
+                    text[key] = value
+                    break
+        own = {k: _convert(k, _KINDS[k], v) for k, v in text.items() if k not in _RUN_FIELDS}
+        return handler(RunConfig.from_mapping(text), **own)
     except (ConfigError, InsufficientDataError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

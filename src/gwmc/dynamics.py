@@ -347,8 +347,6 @@ class TrajectoryResult:
     samples: list[Sample]
     trapped_at: float | None
     total_jumps: int
-    seed: int
-    stream: int
 
     def post_burn_in(self) -> list[Sample]:
         return [s for s in self.samples if not s.burn_in]
@@ -372,11 +370,11 @@ def k_steps(advance_once, rows: int):
 
 def whole_steps(duration: float, dt: float) -> int:
     """duration / dt rounded to whole steps, as :func:`step_and_sample`
-    counts time. Refuses a dt so small against duration that the count
-    overflows."""
+    counts time. Refuses a count that is not finite: a non-finite duration,
+    or a dt so small against it that the count overflows."""
     count = duration / dt
     if not math.isfinite(count):
-        raise ConfigError(f"dt = {dt:g} is too small: {duration:g} / dt is not a finite step count")
+        raise ConfigError(f"{duration:g} / dt at dt = {dt:g} is not a finite step count")
     return int(round(count))
 
 
@@ -477,7 +475,7 @@ def run_trajectory(
         if trapped_at is None and is_dark(bloch[0]):
             trapped_at = t
         samples.append(Sample(t, bloch[0], burn_in=t < traj.burn_in, jumps_in_interval=int(jumps[0])))
-    return TrajectoryResult(samples, trapped_at, int(totals[0]), traj.seed, stream)
+    return TrajectoryResult(samples, trapped_at, int(totals[0]))
 
 
 def run_ensemble(

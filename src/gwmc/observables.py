@@ -61,10 +61,13 @@ def instantaneous_structure_factor(sx: np.ndarray, k=(0.0, 0.0), coords=None) ->
     return float(((amp * np.conj(amp)).real - (sx * sx).sum(axis=-1)) / (n * (n - 1)))
 
 
-def batch_means(values: np.ndarray, n_batches: int = 20) -> tuple[float, float]:
+N_BATCHES = 20
+
+
+def batch_means(values: np.ndarray) -> tuple[float, float]:
     """Mean and batch-means standard error of an autocorrelated series.
 
-    The series is split into ``n_batches`` contiguous batches (fewer only if
+    The series is split into N_BATCHES contiguous batches (fewer only if
     the series is shorter); the standard error is the standard deviation of
     the batch means over sqrt(n_batches). At the default sampling cadence a
     production-length run gives batch lengths well above the autocorrelation
@@ -74,7 +77,7 @@ def batch_means(values: np.ndarray, n_batches: int = 20) -> tuple[float, float]:
     m = values.size
     if m < 2:
         raise InsufficientDataError(f"need at least 2 samples, got {m}")
-    n_batches = min(n_batches, m)
+    n_batches = min(N_BATCHES, m)
     batch_len = m // n_batches
     used = values[: n_batches * batch_len].reshape(n_batches, batch_len)
     means = used.mean(axis=1)
@@ -86,29 +89,24 @@ def batch_means(values: np.ndarray, n_batches: int = 20) -> tuple[float, float]:
 class StructureFactorEstimate:
     value: float
     standard_error: float
-    k: tuple[float, float] = (0.0, 0.0)
     n_samples: int = 0
 
 
-def structure_factor(samples, k=(0.0, 0.0), geometry: LatticeGeometry | None = None) -> StructureFactorEstimate:
-    """Steady-state structure factor averaged over post-burn-in samples.
+def structure_factor(samples) -> StructureFactorEstimate:
+    """Steady-state k = 0 structure factor averaged over post-burn-in samples.
 
     Uses each sample's exact instantaneous value when the engine provided one,
     otherwise the factorized per-sample estimate. Error bar by batch means.
     """
-    coords = geometry.site_coords() if geometry is not None else None
-    inst = []
-    for s in samples:
-        if s.burn_in:
-            continue
-        if s.sxx_inst is not None and k[0] == 0.0 and k[1] == 0.0:
-            inst.append(s.sxx_inst)
-        else:
-            inst.append(instantaneous_structure_factor(s.bloch[:, 0], k, coords))
+    inst = [
+        instantaneous_structure_factor(s.bloch[:, 0]) if s.sxx_inst is None else s.sxx_inst
+        for s in samples
+        if not s.burn_in
+    ]
     if len(inst) < 2:
         raise InsufficientDataError(f"only {len(inst)} post-burn-in samples")
     value, se = batch_means(np.asarray(inst))
-    return StructureFactorEstimate(value, se, (float(k[0]), float(k[1])), len(inst))
+    return StructureFactorEstimate(value, se, len(inst))
 
 
 @dataclass

@@ -33,6 +33,7 @@ from .dynamics import (
     k_steps,
     run_ensemble,
     step_and_sample,
+    whole_steps,
 )
 from .errors import ConfigError, NumericsError
 from .lattice import LatticeGeometry, bonds, build_lattice
@@ -41,6 +42,7 @@ from .state import plus_x_state
 
 MAX_SITES = 10  # full-space state vectors and Hamiltonians
 MAX_DENSE_SITES = 5  # dense master equation: a 4^n x 4^n superoperator
+CHECK_INTERVAL = 1.0  # DenseLindblad.integrate verifies rho at least this often
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -188,15 +190,14 @@ class DenseLindblad:
             self._powers[dt, k] = np.linalg.matrix_power(_rk4_propagator(dt * self._generator), k)
         return self._powers[dt, k]
 
-    def integrate(self, rho: np.ndarray, t: float, dt: float = 0.002,
-                  check_interval: float = 1.0) -> np.ndarray:
+    def integrate(self, rho: np.ndarray, t: float, dt: float = 0.002) -> np.ndarray:
         """RK4 integration at step dt, applied as one propagator power per
-        check interval plus one for the remainder; density-matrix invariants
+        CHECK_INTERVAL plus one for the remainder; density-matrix invariants
         are verified and restored (re-hermitized, trace-normalized) after
         each of them."""
         rho = np.array(rho, dtype=np.complex128)
-        n_steps = max(0, int(round(t / dt)))
-        check_every = max(1, int(round(check_interval / dt)))
+        n_steps = max(0, whole_steps(t, dt))
+        check_every = max(1, whole_steps(CHECK_INTERVAL, dt))
         full, rest = divmod(n_steps, check_every)
         for k in [check_every] * full + ([rest] if rest else []):
             rho = self._verify_and_restore((self._step_power(dt, k) @ rho.ravel()).reshape(rho.shape))
@@ -262,14 +263,13 @@ class FullWfmc:
     (first-order jump sampling from the pre-step state, one uniform per site
     in fixed site order, RK4 drift for the no-jump part, renormalization)."""
 
-    def __init__(self, geometry: LatticeGeometry, p: ModelParams, corrupt_jumps: bool = False):
+    def __init__(self, geometry: LatticeGeometry, p: ModelParams):
         _check_cap(geometry.n_sites)
         self.n = geometry.n_sites
         self.p = p
         self.flip, self.up = _up_tables(self.n)
         h = build_hamiltonian(geometry, p)
         self.h_eff = h - 0.5j * p.gamma * np.diag(self.up.sum(axis=0).astype(complex))
-        self.corrupt_jumps = corrupt_jumps  # test hook: breaks the jump operator
         self._drift_steps: dict[float, np.ndarray] = {}
 
     def _drift(self, psi: np.ndarray, dt: float) -> np.ndarray:
@@ -290,10 +290,7 @@ class FullWfmc:
         return (self.p.gamma * dt) * (prob @ self.up.T.astype(float))
 
     def apply_jump(self, psi: np.ndarray, site: int) -> np.ndarray:
-        lowered = psi[..., self.flip[site]]
-        if not self.corrupt_jumps:
-            lowered = np.where(self.up[site], 0.0, lowered)
-        return self._renorm(lowered)
+        return self._renorm(np.where(self.up[site], 0.0, psi[..., self.flip[site]]))
 
     def advance(self, psi: np.ndarray, step: StepConfig,
                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -352,7 +349,7 @@ def full_wfmc_trajectory(
         sxx = float(structure_factor_from_pairs(xx)) if engine.n > 1 else 0.0
         samples.append(Sample(t, bloch, burn_in=t < traj.burn_in,
                               jumps_in_interval=int(jumps[0]), sxx_inst=sxx))
-    return TrajectoryResult(samples, None, int(totals[0]), traj.seed, stream)
+    return TrajectoryResult(samples, None, int(totals[0]))
 
 
 def full_wfmc_ensemble(
@@ -362,7 +359,6 @@ def full_wfmc_ensemble(
     step: StepConfig,
     n_traj: int,
     stream: int = 0,
-    corrupt_jumps: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched unrestricted ensemble sharing one counter-based stream.
 
@@ -370,7 +366,7 @@ def full_wfmc_ensemble(
     (T, n_traj, n, n); averaging the per-trajectory values reproduces the
     master-equation expectations up to Monte Carlo error.
     """
-    engine = FullWfmc(geometry, p, corrupt_jumps=corrupt_jumps)
+    engine = FullWfmc(geometry, p)
     times, observed, _ = zip(*engine._path(traj, step, stream, n_traj))
     blochs, pairs = zip(*observed)
     return np.asarray(times), np.asarray(blochs), np.asarray(pairs)
@@ -427,7 +423,6 @@ def oracle_report(
     n_traj: int = 4000,
     seed: int = 7,
     dt: float = 0.01,
-    corrupt_jumps: bool = False,
 ) -> OracleReport:
     """Run the oracle consistency checks and return pass/fail per invariant.
 
@@ -462,7 +457,7 @@ def oracle_report(
     # 2. unraveling exactness at checkpoint times
     traj = TrajectoryConfig(t_total=t_total, sample_interval=1.0, seed=seed)
     step = StepConfig(dt=dt)
-    times, blochs, pairs = full_wfmc_ensemble(geometry, p, traj, step, n_traj, corrupt_jumps=corrupt_jumps)
+    times, blochs, pairs = full_wfmc_ensemble(geometry, p, traj, step, n_traj)
     checkpoints = [t for t in _CHECKPOINTS if t <= t_total + 1e-9]
     sys_n = DenseLindblad(geometry, p)
     rho = product_density(plus_x_state(n_sites))

@@ -80,14 +80,18 @@ def renormalize(amps: np.ndarray) -> np.ndarray:
     return amps / np.sqrt(norm2)[..., None]
 
 
-def is_dark(bloch: np.ndarray, tol: float = 1e-12):
-    """True when every site is in the down state to within tol; for a batch
-    of shape (..., n_sites, 3), one answer per state.
+DARK_TOL = 1e-12
+
+
+def is_dark(bloch: np.ndarray):
+    """True when every site is in the down state to within DARK_TOL; for a
+    batch of shape (..., n_sites, 3), one answer per state.
 
     Checks both transverse components and sz, so transverse-free states that
     still carry up-population (which keep evolving) are not misflagged.
     """
-    down = (np.abs(bloch[..., 0]) < tol) & (np.abs(bloch[..., 1]) < tol) & (bloch[..., 2] < -1.0 + tol)
+    transverse = (np.abs(bloch[..., 0]) < DARK_TOL) & (np.abs(bloch[..., 1]) < DARK_TOL)
+    down = transverse & (bloch[..., 2] < -1.0 + DARK_TOL)
     return down.all(axis=-1)
 
 

@@ -1,6 +1,19 @@
 import numpy as np
 import pytest
 
+from gwmc.oracle import FullWfmc
+
+
+@pytest.fixture
+def corrupt_jumps(monkeypatch):
+    """Break the full-space jump operator: it flips the site without
+    annihilating, so a down site is raised instead of left alone."""
+
+    def flip_only(self, psi, site):
+        return self._renorm(psi[..., self.flip[site]])
+
+    monkeypatch.setattr(FullWfmc, "apply_jump", flip_only)
+
 
 @pytest.fixture
 def rng():

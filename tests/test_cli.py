@@ -1,7 +1,13 @@
+import importlib.util
+import re
+import sys
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from gwmc.cli import ENGINES, RunConfig, SweepConfig, main, parse_kv_file, run_sweep
+from gwmc.cli import COMMANDS, ENGINES, RunConfig, SweepConfig, build_parser, main, parse_kv_file, run_sweep
 from gwmc.errors import ConfigError
 from gwmc.state import down_state, plus_x_state, save_state_csv
 
@@ -210,8 +216,8 @@ class TestSweepCommand:
     def test_empty_values_config_error(self, tmp_path, capsys, command, values):
         # the value-list parser is shared; mf-curve falls back to its
         # default grid only when no list is given at all
-        args = _run_args(tmp_path, "s") + ["--values", values]
-        assert main([command, *args]) == 1
+        args = _run_args(tmp_path, "s") if command == "sweep" else ["--out", str(tmp_path / "s")]
+        assert main([command, *args, "--values", values]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not list(tmp_path.iterdir())
 
@@ -377,8 +383,121 @@ class TestOracleCheckCommand:
         assert captured.err.startswith("error: ")
         assert captured.out == ""
 
-    def test_corrupted_jump_fails(self, capsys):
+    def test_corrupted_jump_fails(self, capsys, corrupt_jumps):
         code = main(["oracle-check", "--sites", "2", "--trajectories", "600",
-                     "--t-total", "3", "--seed", "7", "--corrupt-jumps"])
+                     "--t-total", "3", "--seed", "7"])
         assert code == 2
         assert "FAIL unraveling_exactness" in capsys.readouterr().out
+
+    def test_config_keys_honoured(self, tmp_path, capsys):
+        # t_total, sites and trajectories each change what the check prints
+        config = tmp_path / "cfg.txt"
+        config.write_text("t_total = 2\nsites = 1\ntrajectories = 300\n")
+        from_file = main(["oracle-check", "--config", str(config)]), capsys.readouterr().out
+        from_flags = main(["oracle-check", "--t-total", "2", "--sites", "1", "--trajectories", "300"])
+        assert from_file == (from_flags, capsys.readouterr().out)
+        assert from_file[1].count("\n") == 3  # one site: no manifold residual
+
+
+_RUN_FLAGS = {"--" + f.name.replace("_", "-") for f in fields(RunConfig)}
+
+
+class TestCommandFlags:
+    @pytest.mark.parametrize("command,flags", [
+        ("run", _RUN_FLAGS - {"--workers"}),
+        ("correlate", _RUN_FLAGS - {"--workers"}),
+        ("sweep", _RUN_FLAGS | {"--param", "--values", "--trajectories"}),
+        ("mf-curve", {"--jx", "--jz", "--gamma", "--out", "--values"}),
+        ("oracle-check", {"--width", "--height", "--jx", "--jy", "--jz", "--gamma", "--t-total", "--dt",
+                          "--seed", "--out", "--sites", "--trajectories"}),
+    ])
+    def test_help_lists_only_the_table_flags(self, capsys, command, flags):
+        assert main([command, "--help"]) == 0
+        assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == flags | {"--help", "--config"}
+        assert {"--" + k.replace("_", "-") for k in COMMANDS[command]} == flags
+
+    @pytest.mark.parametrize("command,flag", [
+        *[(c, "--workers") for c in ("run", "correlate")],
+        *[("mf-curve", f) for f in ("--width", "--height", "--jy", "--t-total", "--burn-in",
+                                    "--sample-interval", "--dt", "--max-jump-prob", "--seed",
+                                    "--initial-state", "--engine", "--workers")],
+        *[("oracle-check", f) for f in ("--engine", "--initial-state", "--burn-in", "--sample-interval",
+                                        "--max-jump-prob", "--workers", "--corrupt-jumps")],
+    ])
+    def test_removed_flag_refused(self, tmp_path, capsys, monkeypatch, command, flag):
+        # a flag a command does not read is a parser error, with a value it would take
+        monkeypatch.chdir(tmp_path)
+        value = {"--engine": "gutzwiller", "--initial-state": "plus_x", "--max-jump-prob": "0.05",
+                 "--dt": "0.01", "--corrupt-jumps": None}.get(flag, "1")
+        assert main([command, flag] + ([value] if value else [])) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["run", "--nosuch", "1"], id="unknown"),
+        pytest.param(["run", "--engine", "magic"], id="choice"),
+        pytest.param(["oracle-check", "--sites", "3"], id="sites-choice"),
+        pytest.param(["sweep", "--param", "jx", "--values", "1"], id="param-choice"),
+        pytest.param(["run", "--width", "abc"], id="non-number"),
+        pytest.param(["oracle-check", "--trajectories", "1e3"], id="non-integer"),
+        pytest.param([], id="no-command"),
+    ])
+    def test_parser_errors_exit_1(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "error: " in captured.err and captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["sweep", "-h"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out
+
+    # one changed value per registered flag; the meta echo does not count
+    MF_BASE = ["--values", "1.2,2.5"]
+    MF_CHANGES = {"jx": "0.8", "jz": "1.1", "gamma": "2", "out": "other", "values": "1.3,2.5",
+                  "config": "jx = 0.8"}
+    ORACLE_BASE = ["--sites", "2", "--trajectories", "40", "--t-total", "2"]
+    ORACLE_CHANGES = {"jx": "0.8", "jy": "1.5", "jz": "1.1", "gamma": "0.5", "t_total": "3", "dt": "0.005",
+                      "seed": "2", "sites": "1", "trajectories": "50", "config": "jy = 1.5"}
+    # oracle-check reads no width, height or out; perfbench passes them to every command
+    ORACLE_UNREAD = {"width", "height", "out"}
+
+    @pytest.mark.parametrize("command,base,changes,unread", [
+        ("mf-curve", MF_BASE, MF_CHANGES, set()),
+        ("oracle-check", ORACLE_BASE, ORACLE_CHANGES, ORACLE_UNREAD),
+    ], ids=["mf-curve", "oracle-check"])
+    def test_every_flag_changes_the_output(self, tmp_path, capsys, monkeypatch, command, base, changes,
+                                           unread):
+        assert set(changes) == set(COMMANDS[command]) - unread | {"config"}
+
+        def output(name, extra):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            assert main([command, *base, *extra]) in (0, 2)
+            csvs = {p.name: p.read_bytes() for p in Path().glob("*.csv")}
+            return capsys.readouterr().out, csvs
+
+        reference = output("reference", [])
+        for key, value in changes.items():
+            if key == "config":
+                (tmp_path / "cfg.txt").write_text(value + "\n")
+                value = str(tmp_path / "cfg.txt")
+            assert output(key, ["--" + key.replace("_", "-"), value]) != reference, key
+
+
+def test_benchmark_command_lines_parse(monkeypatch):
+    # perfbench/run.py runs these command lines; a CLI change that refuses
+    # one must fail here first
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))  # run.py imports its sibling modules
+    spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look themselves up there
+    spec.loader.exec_module(run)
+    assert len(run.WORKLOADS) == 4
+    for workload in run.WORKLOADS.values():
+        for traced in (False, True):
+            args = build_parser().parse_args(workload.argv(1, traced=traced))
+            assert args.command == workload.subcommand

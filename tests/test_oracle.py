@@ -276,6 +276,19 @@ class TestPropagator:
         want = _reference_integrate(system, rho0, 3.7, 0.002)
         assert np.abs(got - want).max() < 1e-12
 
+    @pytest.mark.parametrize("t", [0.0, -2.0, 0.0009])
+    def test_integrate_without_steps_returns_input(self, t):
+        # under half a step rounds to no step, as the trajectory driver counts
+        system = DenseLindblad(build_lattice(2, 1), P_FERRO)
+        rho0 = product_density(plus_x_state(2))
+        assert np.array_equal(system.integrate(rho0, t), rho0)
+
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+    def test_integrate_refuses_non_finite_horizon(self, t):
+        system = DenseLindblad(build_lattice(2, 1), P_FERRO)
+        with pytest.raises(ConfigError, match="not a finite step count"):
+            system.integrate(product_density(plus_x_state(2)), t)
+
     def test_full_drift_matches_rk4_sum(self, rng):
         g = build_lattice(2, 2)
         engine = FullWfmc(g, P_FERRO)
@@ -436,8 +449,8 @@ class TestOracleReport:
         report = oracle_report(4, P_FERRO, t_total=3.0, n_traj=600, seed=7)
         assert report.passed, "\n".join(report.lines())
 
-    def test_corrupted_jump_operator_detected(self):
-        report = oracle_report(2, P_FERRO, t_total=3.0, n_traj=800, seed=7, corrupt_jumps=True)
+    def test_corrupted_jump_operator_detected(self, corrupt_jumps):
+        report = oracle_report(2, P_FERRO, t_total=3.0, n_traj=800, seed=7)
         assert not report.passed
         failing = {c.name for c in report.checks if not c.passed}
         assert "unraveling_exactness" in failing
