@@ -22,7 +22,6 @@ from . import __version__
 from .dynamics import (
     ModelParams,
     RngStream,
-    RowStreams,
     StepConfig,
     TrajectoryConfig,
     batch_samples,
@@ -43,13 +42,16 @@ from .oracle import (_GEOMETRY_FOR_SITES, MAX_DENSE_SITES, MAX_SITES, DenseLindb
                      full_wfmc_trajectory, oracle_report)
 
 ENGINES = ("gutzwiller", "fullwfmc", "exact")
-WORKERS_ENV = "GWMC_WORKERS"
+WORKERS_ENV = "GWMC_WORKERS"  # read by sweep only
 
 
 def _fmt(x) -> str:
-    """Serialize a number with 12 significant digits."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
+    """Serialize a number with 12 significant digits; text passes, a value
+    list is comma-separated."""
+    if isinstance(x, tuple):
+        return ",".join(map(_fmt, x))
+    if isinstance(x, (int, np.integer, str)):
+        return str(x)
     return f"{float(x):.12g}"
 
 
@@ -65,11 +67,10 @@ class RunConfig:
     burn_in: float = 200.0
     sample_interval: float = 1.0
     dt: float = 0.01
-    max_jump_prob: float = 0.05
     seed: int = 1
     initial_state: str = "plus_x"
     engine: str = "gutzwiller"
-    workers: int = 0  # 0: resolve from the environment, then 1
+    workers: int = 0  # sweep pool size; 0: GWMC_WORKERS, then 1
     out: str = "gwmc"
 
     def __post_init__(self):
@@ -83,10 +84,6 @@ class RunConfig:
             raise ConfigError(f"lattice dimensions must be positive, got {self.width}x{self.height}")
         if self.engine not in ENGINES:
             raise ConfigError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        if self.workers == 0:
-            self.workers = _convert(WORKERS_ENV, int, os.environ.get(WORKERS_ENV, "1"))
-        if self.workers < 1:
-            raise ConfigError(f"workers must be positive, got {self.workers}")
         cap = {"fullwfmc": MAX_SITES, "exact": MAX_DENSE_SITES}.get(self.engine)
         if cap is not None and self.width * self.height > cap:
             raise ConfigError(
@@ -109,14 +106,7 @@ class RunConfig:
         )
 
     def step(self) -> StepConfig:
-        return StepConfig(dt=self.dt, max_jump_prob=self.max_jump_prob)
-
-    def to_mapping(self) -> dict[str, str]:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = _fmt(value) if isinstance(value, float) else str(value)
-        return out
+        return StepConfig(dt=self.dt)
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "RunConfig":
@@ -163,12 +153,10 @@ def write_meta(path, mapping: dict[str, str]) -> None:
             fh.write(f"{key} = {value}\n")
 
 
-def _base_meta(cfg: RunConfig, command: str) -> dict[str, str]:
-    meta = {"command": command}
-    meta.update(cfg.to_mapping())
-    meta["code_version"] = __version__
-    meta["rng_algorithm"] = RngStream.ALGORITHM
-    return meta
+def _base_meta(cfg: RunConfig, command: str, **own) -> dict[str, str]:
+    """The command and each key it read, so the file works as --config."""
+    read = {key: _fmt(own[key] if key in own else getattr(cfg, key)) for key in COMMANDS[command]}
+    return {"command": command, **read, "code_version": __version__, "rng_algorithm": RngStream.ALGORITHM}
 
 
 # -- run -------------------------------------------------------------------
@@ -236,6 +224,10 @@ class SweepConfig:
             raise ConfigError("sweep needs a non-empty value list")
         if self.trajectories < 1:
             raise ConfigError("trajectories must be positive")
+        if self.base.workers == 0:
+            self.base = replace(self.base, workers=_convert(WORKERS_ENV, int, os.environ.get(WORKERS_ENV, "1")))
+        if self.base.workers < 1:
+            raise ConfigError(f"workers must be positive, got {self.base.workers}")
         if self.base.engine != "gutzwiller":
             raise ConfigError("a sweep runs batched manifold trajectories; set engine = gutzwiller")
         if self.param == "size" and not all(float(v).is_integer() and v >= 1 for v in self.values):
@@ -254,10 +246,10 @@ def _sweep_task(rows):
     post-burn-in Sxx_inst and |Mx| series as plain arrays for merging."""
     cfg = rows[0][0]
     traj = cfg.trajectory()
-    rng = RowStreams(RngStream(traj.seed, stream).generator() for *_, stream in rows)
     sxx = [[] for _ in rows]
     mx_abs = [[] for _ in rows]
-    for t, bloch, _ in batch_samples(cfg.geometry(), [r[0].model() for r in rows], traj, cfg.step(), rng):
+    streams = [r[3] for r in rows]
+    for t, bloch, _ in batch_samples(cfg.geometry(), [r[0].model() for r in rows], traj, cfg.step(), streams):
         if t < traj.burn_in:
             continue
         for k, b in enumerate(bloch):
@@ -331,10 +323,7 @@ def cmd_sweep(cfg: RunConfig, **keys) -> int:
                 f"{_fmt(r['jy'])},{r['L']},{_fmt(r['Sxx_k0'])},{_fmt(r['Sxx_stderr'])},"
                 f"{_fmt(r['Mx_abs_mean'])},{r['sample_count']},{r['trajectories']}\n"
             )
-    meta = _base_meta(sweep.base, "sweep")
-    meta["param"] = sweep.param
-    meta["values"] = ",".join(_fmt(v) for v in sweep.values)
-    meta["trajectories"] = str(sweep.trajectories)
+    meta = _base_meta(sweep.base, "sweep", **keys)
     meta["averaging"] = "time" if sweep.trajectories == 1 else "ensemble_of_time_means"
     write_meta(f"{out}_meta.txt", meta)
     print(f"wrote {out}_sweep.csv and {out}_meta.txt")
@@ -373,8 +362,7 @@ def cmd_mf_curve(cfg: RunConfig, values) -> int:
         fh.write("jy,Sxx_mf\n")
         for jy, p in zip(values, params):
             fh.write(f"{_fmt(jy)},{_fmt(mf_structure_factor(p))}\n")
-    meta = _base_meta(cfg, "mf-curve")
-    meta["values"] = ",".join(_fmt(v) for v in values)
+    meta = _base_meta(cfg, "mf-curve", values=values)
     transition = mf_transition_point(cfg.jx, cfg.jz, cfg.gamma)
     meta["transition_jy"] = "none" if transition is None else _fmt(transition)
     write_meta(f"{cfg.out}_meta.txt", meta)

@@ -16,8 +16,8 @@ probability gamma * dt * |amp_up|^2, drawn in fixed site order.
 
 All state-level functions accept leading batch dimensions, so m
 trajectories on one lattice are advanced as one (m, n_sites, 2) array by
-:func:`batch_samples`, drawing from a single counter-based random stream or
-from one stream per row. :func:`step_and_sample` is the one step-and-sample
+:func:`batch_samples`, each row drawing from its own counter-based stream
+(:class:`RowStreams`). :func:`step_and_sample` is the one step-and-sample
 loop, for this engine and for the exact references in :mod:`gwmc.oracle`.
 """
 
@@ -66,16 +66,16 @@ def _stack_params(params) -> ModelParams:
     return replace(params[0], **columns)
 
 
+MAX_JUMP_PROB = 0.05  # largest gamma * dt the first-order jump sampling accepts
+
+
 @dataclass(frozen=True)
 class StepConfig:
     dt: float = 0.01
-    max_jump_prob: float = 0.05
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
-        if not 0.0 < self.max_jump_prob < 0.5:
-            raise ConfigError(f"max_jump_prob must lie in (0, 0.5), got {self.max_jump_prob}")
 
 
 @dataclass(frozen=True)
@@ -96,34 +96,51 @@ class TrajectoryConfig:
 
 
 @dataclass(frozen=True)
-class RngStream:
+class RngStream(np.random.bit_generator.ISeedSequence):
     """Counter-based random stream: (seed, stream) fully determines the draw
     sequence. Trajectory k of an ensemble uses stream index k, so ensembles
-    reproduce independently of scheduling order."""
+    reproduce independently of scheduling order. It is Philox's seed
+    sequence, whose state is the key (seed, stream): Philox(key=...) would
+    first spend ~10 us of OS entropy on a SeedSequence it drops, per row."""
 
     seed: int
     stream: int = 0
 
     ALGORITHM = "philox4x64"
 
+    def generate_state(self, n_words=2, dtype=np.uint64) -> np.ndarray:
+        return np.array([self.seed % 2**64, self.stream % 2**64], dtype=np.uint64)
+
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed % 2**64, self.stream % 2**64], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(self))
+
+
+READ_AHEAD = 2**16  # uniforms RowStreams buffers over all its rows (512 KB)
 
 
 class RowStreams:
-    """One generator per batch row: row k of each (m, n) block of uniforms is
-    filled by generators[k], so it holds exactly the draws a one-row run on
-    that generator would make."""
+    """The one random source: row k draws from RngStream(seed, streams[k]),
+    so it replays alone. :meth:`random` returns the next step's uniforms,
+    (rows, n) or (n,) for one row, the same count each call, as a view into
+    one block that each refill overwrites. Philox is counter-based, so each
+    row reads ahead whole steps (as many as READ_AHEAD allows, at least
+    one) with the bits of step-wise draws."""
 
-    def __init__(self, generators):
-        self.generators = list(generators)
+    def __init__(self, seed: int, streams):
+        self.generators = [RngStream(seed, s).generator() for s in streams]
+        self._block = np.empty((len(self.generators), 0, 0))
+        self._next = 0
 
     def random(self, size) -> np.ndarray:
-        out = np.empty(size)
-        for gen, row in zip(self.generators, out.reshape(len(self.generators), -1)):
-            gen.random(out=row)
-        return out
+        rows = len(self.generators)
+        if self._next == self._block.shape[1]:
+            if not self._block.size:  # whole steps of math.prod(size) uniforms
+                self._block = np.empty((rows, max(1, READ_AHEAD // math.prod(size)), math.prod(size) // rows))
+            for gen, row in zip(self.generators, self._block):
+                gen.random(out=row)
+            self._next = 0
+        self._next += 1
+        return self._block[:, self._next - 1].reshape(size)
 
 
 # The drift kernel views a batch of N = m * n_sites spinors u = a + ib,
@@ -300,10 +317,8 @@ def advance(
     The jumped indices have one row per event: (site,) for a single state,
     (trajectory, site) for a batch.
     """
-    if p.gamma * step.dt > step.max_jump_prob:
-        raise ConfigError(
-            f"gamma*dt = {p.gamma * step.dt:g} exceeds max_jump_prob = {step.max_jump_prob:g}"
-        )
+    if p.gamma * step.dt > MAX_JUMP_PROB:
+        raise ConfigError(f"gamma*dt = {p.gamma * step.dt:g} exceeds max_jump_prob = {MAX_JUMP_PROB:g}")
     probs = jump_probabilities(amps, p, step.dt)
     draws = rng.random(size=probs.shape)
     jumped = draws < probs
@@ -428,7 +443,7 @@ def batch_samples(
     params,
     traj: TrajectoryConfig,
     step: StepConfig,
-    rng,
+    streams,
     totals: np.ndarray | None = None,
 ):
     """Advance one batch row per entry of ``params`` from the configured
@@ -436,11 +451,11 @@ def batch_samples(
     yields (t, bloch, jumps) with bloch of shape (m, n_sites, 3) and jumps
     the (m,) jump counts since the previous sample.
 
-    ``rng`` draws each step's (m, n_sites) block of uniforms: a Generator
-    shares one stream over the block, a :class:`RowStreams` gives every row
-    its own, which makes row k bit-identical to a one-row run on its stream.
+    Row k draws from the Philox stream ``streams[k]`` of the seed, so it is
+    bit-identical to ``run_trajectory(..., stream=streams[k])``.
     """
     m = len(params)
+    rng = RowStreams(traj.seed, streams)
     p = _stack_params(params)
     amps = initial_product_state(traj, geometry.n_sites)
     if m > 1:  # a single row keeps no batch axis: small 2-d arrays step 3-5 % faster
@@ -467,11 +482,10 @@ def run_trajectory(
     trapped and integration short-circuits: the dark state is exact, so later
     samples simply repeat the frozen Bloch vectors.
     """
-    rng = RngStream(traj.seed, stream).generator()
     totals = np.zeros(1, dtype=np.int64)
     samples = []
     trapped_at = None
-    for t, bloch, jumps in batch_samples(geometry, [p], traj, step, rng, totals):
+    for t, bloch, jumps in batch_samples(geometry, [p], traj, step, [stream], totals):
         if trapped_at is None and is_dark(bloch[0]):
             trapped_at = t
         samples.append(Sample(t, bloch[0], burn_in=t < traj.burn_in, jumps_in_interval=int(jumps[0])))
@@ -489,11 +503,9 @@ def run_ensemble(
     """Advance n_traj independent trajectories as one batched state.
 
     Returns (times, bloch) with bloch of shape (n_times, n_traj, n_sites, 3),
-    sampled on the same cadence as :func:`run_trajectory`. The whole batch
-    shares a single counter-based stream (rows stay independent because each
-    step draws one variate per site per trajectory); use :class:`RowStreams`
-    with :func:`batch_samples` for rows that must match solo trajectories.
+    sampled on the same cadence as :func:`run_trajectory`. Row k draws from
+    stream ``stream + k``, so it is bit-identical to
+    ``run_trajectory(..., stream=stream + k)``.
     """
-    rng = RngStream(traj.seed, stream).generator()
-    samples = list(batch_samples(geometry, [p] * n_traj, traj, step, rng))
+    samples = list(batch_samples(geometry, [p] * n_traj, traj, step, range(stream, stream + n_traj)))
     return np.asarray([t for t, _, _ in samples]), np.asarray([b for _, b, _ in samples])

@@ -24,8 +24,9 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import (
+    MAX_JUMP_PROB,
     ModelParams,
-    RngStream,
+    RowStreams,
     StepConfig,
     TrajectoryConfig,
     TrajectoryResult,
@@ -274,10 +275,12 @@ class FullWfmc:
 
     def _drift(self, psi: np.ndarray, dt: float) -> np.ndarray:
         """One RK4 step of the no-jump drift d psi/dt = -i h_eff psi, as a
-        product with its propagator (cached per dt); not renormalized."""
+        product with its propagator (cached per dt); not renormalized. One
+        vector-matrix product per row: BLAS rounds a row of a matrix product
+        otherwise, and a batch row must keep the bits of its solo trajectory."""
         if dt not in self._drift_steps:
             self._drift_steps[dt] = _rk4_propagator(-1j * dt * self.h_eff).T
-        return psi @ self._drift_steps[dt]
+        return (psi[..., None, :] @ self._drift_steps[dt])[..., 0, :]
 
     def _renorm(self, psi: np.ndarray) -> np.ndarray:
         norm2 = (psi.real**2 + psi.imag**2).sum(axis=-1)
@@ -296,10 +299,8 @@ class FullWfmc:
                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """One full time step; returns (new state, jumped index array) as
         :func:`gwmc.dynamics.advance` does."""
-        if self.p.gamma * step.dt > step.max_jump_prob:
-            raise ConfigError(
-                f"gamma*dt = {self.p.gamma * step.dt:g} exceeds max_jump_prob = {step.max_jump_prob:g}"
-            )
+        if self.p.gamma * step.dt > MAX_JUMP_PROB:
+            raise ConfigError(f"gamma*dt = {self.p.gamma * step.dt:g} exceeds max_jump_prob = {MAX_JUMP_PROB:g}")
         probs = self.jump_probabilities(psi, step.dt)
         draws = rng.random(size=probs.shape)
         jumped = draws < probs
@@ -307,26 +308,23 @@ class FullWfmc:
             psi = psi.copy()
             for site in range(self.n):
                 rows = jumped[..., site]
-                if rows.any():
-                    if psi.ndim == 1:
-                        psi = self.apply_jump(psi, site)
-                    else:
-                        psi[rows] = self.apply_jump(psi[rows], site)
+                if rows.any():  # a 0-d mask gives one state vector an axis
+                    psi[rows] = self.apply_jump(psi[rows], site)
         return self._renorm(self._drift(psi, step.dt)), np.argwhere(jumped)
 
-    def _path(self, traj: TrajectoryConfig, step: StepConfig, stream: int,
-              n_traj: int | None = None, totals: np.ndarray | None = None):
+    def _path(self, traj: TrajectoryConfig, step: StepConfig, streams,
+              totals: np.ndarray | None = None):
         """:func:`gwmc.dynamics.step_and_sample` from the configured initial
-        product state, over one state vector (n_traj None) or a batch of
-        n_traj sharing one stream; each sample observes (bloch, pair_xx)."""
-        rng = RngStream(traj.seed, stream).generator()
+        product state, row k on Philox stream ``streams[k]``; each sample
+        observes (bloch, pair_xx), of shapes (rows, n, 3) and (rows, n, n)."""
+        rng = RowStreams(traj.seed, streams)
+        rows = len(rng.generators)
         psi = product_state_vector(initial_product_state(traj, self.n))
-        rows = 1 if n_traj is None else n_traj
-        if n_traj is not None:
-            psi = np.broadcast_to(psi, (n_traj,) + psi.shape).copy()
+        if rows > 1:  # a single row keeps no batch axis, as in batch_samples
+            psi = np.broadcast_to(psi, (rows,) + psi.shape).copy()
 
         def observe(x):
-            return pauli_expectations(x, self.n), pair_xx_expectations(x, self.n)
+            return [f(x, self.n).reshape(rows, self.n, -1) for f in (pauli_expectations, pair_xx_expectations)]
 
         advance_k = k_steps(lambda x: self.advance(x, step, rng), rows)
         return step_and_sample(psi, advance_k, observe, traj, step, rows, totals=totals)
@@ -345,9 +343,9 @@ def full_wfmc_trajectory(
     engine = FullWfmc(geometry, p)
     totals = np.zeros(1, dtype=np.int64)
     samples = []
-    for t, (bloch, xx), jumps in engine._path(traj, step, stream, totals=totals):
-        sxx = float(structure_factor_from_pairs(xx)) if engine.n > 1 else 0.0
-        samples.append(Sample(t, bloch, burn_in=t < traj.burn_in,
+    for t, (bloch, xx), jumps in engine._path(traj, step, [stream], totals):
+        sxx = float(structure_factor_from_pairs(xx[0])) if engine.n > 1 else 0.0
+        samples.append(Sample(t, bloch[0], burn_in=t < traj.burn_in,
                               jumps_in_interval=int(jumps[0]), sxx_inst=sxx))
     return TrajectoryResult(samples, None, int(totals[0]))
 
@@ -360,14 +358,15 @@ def full_wfmc_ensemble(
     n_traj: int,
     stream: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched unrestricted ensemble sharing one counter-based stream.
+    """Batched unrestricted ensemble; row k draws from stream ``stream + k``,
+    so it is bit-identical to ``full_wfmc_trajectory(..., stream=stream + k)``.
 
     Returns (times, bloch, pair_xx) with shapes (T,), (T, n_traj, n, 3) and
     (T, n_traj, n, n); averaging the per-trajectory values reproduces the
     master-equation expectations up to Monte Carlo error.
     """
     engine = FullWfmc(geometry, p)
-    times, observed, _ = zip(*engine._path(traj, step, stream, n_traj))
+    times, observed, _ = zip(*engine._path(traj, step, range(stream, stream + n_traj)))
     blochs, pairs = zip(*observed)
     return np.asarray(times), np.asarray(blochs), np.asarray(pairs)
 
@@ -489,9 +488,10 @@ def oracle_report(
     checks.append(CheckResult("xxz_dark_state", dark_dev <= 1e-4, dark_dev, 1e-4))
 
     # 4. manifold approximation residual (recorded; must not vanish for n >= 2).
-    # Measured at the end of the run, where the gap has accumulated.
+    # Measured at the end of the run, where the gap has accumulated, on the
+    # streams after the full-space ensemble's, so that no stream feeds two rows.
     if n_sites >= 2:
-        g_times, g_blochs = run_ensemble(geometry, p, traj, step, n_traj, stream=1)
+        g_times, g_blochs = run_ensemble(geometry, p, traj, step, n_traj, stream=n_traj)
         rho = sys_n.integrate(rho, float(g_times[-1]) - prev_t, dt=0.002)
         pair_vals = g_blochs[-1, :, 0, 0] * g_blochs[-1, :, 1, 0]
         se = pair_vals.std(ddof=1) / np.sqrt(n_traj)

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gwmc.cli import COMMANDS, ENGINES, RunConfig, SweepConfig, build_parser, main, parse_kv_file, run_sweep
+from gwmc import dynamics
+from gwmc.cli import (COMMANDS, ENGINES, RunConfig, SweepConfig, _base_meta, build_parser, main, parse_kv_file,
+                      run_sweep)
 from gwmc.errors import ConfigError
 from gwmc.state import down_state, plus_x_state, save_state_csv
 
@@ -27,7 +29,7 @@ class TestConfigParsing:
 
     def test_mapping_roundtrip(self):
         cfg = RunConfig(jy=1.7, width=4, height=4, t_total=50.0, burn_in=10.0, seed=9)
-        back = RunConfig.from_mapping(cfg.to_mapping())
+        back = RunConfig.from_mapping(_base_meta(cfg, "run"))
         assert back == cfg
 
     def test_unknown_keys_ignored(self):
@@ -152,12 +154,23 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == [config]
 
-    def test_malformed_workers_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("GWMC_WORKERS", "two")
-        args = _run_args(tmp_path, "w", width="2", height="2", **{"t-total": "2", "burn-in": "0.5"})
+    @pytest.mark.parametrize("engine", ["gutzwiller", "fullwfmc"])
+    def test_step_above_max_jump_prob_exit_code(self, tmp_path, capsys, engine):
+        # first-order jump sampling needs gamma * dt <= 0.05
+        args = _run_args(tmp_path, "dt", engine=engine, width="2", height="1", dt="0.06",
+                         **{"t-total": "2", "burn-in": "0.5"})
         assert main(["run", *args]) == 1
-        assert capsys.readouterr().err.startswith("error: GWMC_WORKERS")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "exceeds max_jump_prob = 0.05" in err
         assert not list(tmp_path.iterdir())
+
+    def test_old_meta_with_removed_keys_loads(self, tmp_path):
+        # meta files once held max_jump_prob and workers; as --config they are ignored
+        main(["run", *_run_args(tmp_path, "orig")])
+        old = tmp_path / "old_meta.txt"
+        old.write_text((tmp_path / "orig_meta.txt").read_text() + "max_jump_prob = 0.05\nworkers = 1\n")
+        assert main(["run", "--config", str(old), "--out", str(tmp_path / "redo")]) == 0
+        assert _read(tmp_path / "orig_series.csv") == _read(tmp_path / "redo_series.csv")
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("case", [
@@ -290,6 +303,13 @@ class TestSweepCommand:
             assert main(["sweep", *args]) == 0
         assert _read(tmp_path / "ref_sweep.csv") == _read(tmp_path / "w_sweep.csv")
 
+    def test_malformed_workers_env(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("GWMC_WORKERS", "two")
+        args = _run_args(tmp_path, "w", width="2", height="2", **{"t-total": "2", "burn-in": "0.5"})
+        assert main(["sweep", *args, "--values", "1.2"]) == 1
+        assert capsys.readouterr().err.startswith("error: GWMC_WORKERS")
+        assert not list(tmp_path.iterdir())
+
     def test_meta_roundtrip(self, tmp_path):
         args = _run_args(tmp_path, "sm") + ["--values", "1.2,1.5", "--trajectories", "1"]
         main(["sweep", *args])
@@ -364,6 +384,46 @@ class TestMfCurveCommand:
         assert parse_kv_file(tmp_path / "deg_meta.txt")["transition_jy"] == "none"
 
 
+class TestMetaFiles:
+    # each command's meta: the command, the keys it read, the code and RNG
+    # versions, and its own results
+    COMMAND_ARGS = {
+        "run": [],
+        "correlate": [],
+        "sweep": ["--values", "1.2,1.5", "--trajectories", "2"],
+        "mf-curve": ["--values", "1.2,1.5"],
+    }
+    EXTRAS = {"run": {"total_jumps"}, "correlate": {"n_samples"}, "sweep": {"averaging"},
+              "mf-curve": {"transition_jy"}}
+    OUTPUTS = {"run": "series", "correlate": "corr", "sweep": "sweep", "mf-curve": "mf"}
+
+    def _args(self, tmp_path, command, name):
+        if command == "mf-curve":
+            return ["--out", str(tmp_path / name)]
+        return _run_args(tmp_path, name, **{"t-total": "12", "burn-in": "2"})
+
+    @pytest.mark.parametrize("command", COMMAND_ARGS)
+    def test_meta_holds_the_keys_read(self, tmp_path, command):
+        assert main([command, *self._args(tmp_path, command, "m"), *self.COMMAND_ARGS[command]]) == 0
+        meta = parse_kv_file(tmp_path / "m_meta.txt")
+        assert list(meta)[0] == "command" and meta["command"] == command
+        assert set(meta) == ({"command", "code_version", "rng_algorithm"} | set(COMMANDS[command])
+                             | self.EXTRAS[command])
+
+    @pytest.mark.parametrize("command", ["correlate", "mf-curve"])  # run and sweep: their own classes
+    def test_meta_roundtrip_reproduces_csv(self, tmp_path, command):
+        assert main([command, *self._args(tmp_path, command, "a"), *self.COMMAND_ARGS[command]]) == 0
+        assert main([command, "--config", str(tmp_path / "a_meta.txt"), "--out", str(tmp_path / "b")]) == 0
+        csv = self.OUTPUTS[command]
+        assert _read(tmp_path / f"a_{csv}.csv") == _read(tmp_path / f"b_{csv}.csv")
+
+    @pytest.mark.parametrize("command", ["run", "mf-curve"])
+    def test_workers_env_read_by_sweep_only(self, tmp_path, monkeypatch, command):
+        monkeypatch.setenv("GWMC_WORKERS", "two")
+        assert main([command, *self._args(tmp_path, command, "w"), *self.COMMAND_ARGS[command]]) == 0
+        assert "workers" not in parse_kv_file(tmp_path / "w_meta.txt")
+
+
 class TestOracleCheckCommand:
     def test_passes(self, capsys):
         code = main(["oracle-check", "--sites", "2", "--trajectories", "600",
@@ -418,6 +478,7 @@ class TestCommandFlags:
 
     @pytest.mark.parametrize("command,flag", [
         *[(c, "--workers") for c in ("run", "correlate")],
+        *[(c, "--max-jump-prob") for c in ("run", "correlate", "sweep")],
         *[("mf-curve", f) for f in ("--width", "--height", "--jy", "--t-total", "--burn-in",
                                     "--sample-interval", "--dt", "--max-jump-prob", "--seed",
                                     "--initial-state", "--engine", "--workers")],
@@ -487,15 +548,48 @@ class TestCommandFlags:
             assert output(key, ["--" + key.replace("_", "-"), value]) != reference, key
 
 
+def test_read_ahead_changes_no_output(tmp_path, monkeypatch):
+    # Philox is counter-based: drawing one step at a time gives the bits of
+    # the default read-ahead block, for solo runs and batched sweeps alike
+    def outputs(name):
+        runs = (
+            ["run", *_run_args(tmp_path, name, width="4", height="4")],
+            ["run", *_run_args(tmp_path, name + "_full", engine="fullwfmc", width="2", height="1")],
+            ["sweep", *_run_args(tmp_path, name, workers="1"), "--values", "1.2,2.5", "--trajectories", "2"],
+        )
+        for argv in runs:
+            assert main(argv) == 0
+        return [_read(tmp_path / f"{name}{suffix}.csv") for suffix in ("_series", "_full_series", "_sweep")]
+
+    block = outputs("block")
+    monkeypatch.setattr(dynamics, "READ_AHEAD", 1)
+    assert outputs("step") == block
+
+
+def _perfbench_module(monkeypatch, name):
+    """Load perfbench/<name>.py unedited, as the benchmark runs it."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))  # run.py imports its sibling modules
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", bench / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look themselves up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_setup_child_runs(monkeypatch):
+    # the benchmark's set-up child builds each workload's inputs from src;
+    # a refactor that drops a name it imports must fail here first
+    run = _perfbench_module(monkeypatch, "run")
+    child = _perfbench_module(monkeypatch, "child")
+    for workload in run.WORKLOADS.values():
+        child.setup(workload.width, workload.height, workload.pairs, 1)
+
+
 def test_benchmark_command_lines_parse(monkeypatch):
     # perfbench/run.py runs these command lines; a CLI change that refuses
     # one must fail here first
-    bench = Path(__file__).resolve().parents[1] / "perfbench"
-    monkeypatch.syspath_prepend(str(bench))  # run.py imports its sibling modules
-    spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look themselves up there
-    spec.loader.exec_module(run)
+    run = _perfbench_module(monkeypatch, "run")
     assert len(run.WORKLOADS) == 4
     for workload in run.WORKLOADS.values():
         for traced in (False, True):

@@ -9,7 +9,6 @@ from gwmc.dynamics import (
     _DriftKernel,
     _stack_params,
     RngStream,
-    RowStreams,
     StepConfig,
     TrajectoryConfig,
     advance,
@@ -453,11 +452,17 @@ class TestRunTrajectory:
             ModelParams(1, 1, 1, gamma=-0.5)
         with pytest.raises(ConfigError):
             StepConfig(dt=0.0)
-        with pytest.raises(ConfigError):
-            StepConfig(max_jump_prob=0.7)
         g = build_lattice(2, 2)
         with pytest.raises(ConfigError):
             run_trajectory(g, P_FERRO, TrajectoryConfig(t_total=5.0, sample_interval=0.001), StepConfig(dt=0.01))
+
+
+class TestRngStream:
+    @pytest.mark.parametrize("seed,stream", [(0, 0), (41, 7), (2**64 + 3, -1)])
+    def test_generator_is_philox_keyed_by_seed_and_stream(self, seed, stream):
+        key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).random(1000)
+        assert RngStream(seed, stream).generator().random(1000).tobytes() == want.tobytes()
 
 
 class TestBatchSamples:
@@ -470,9 +475,8 @@ class TestBatchSamples:
         step = StepConfig(dt=0.05)
         traj = TrajectoryConfig(t_total=60.5, burn_in=0.0, sample_interval=1.0, seed=8)
         params = [ModelParams(0.9, jy, 1.0) for jy in (0.9, 1.2, 2.5)]
-        rng = RowStreams(RngStream(traj.seed, k).generator() for k in range(len(params)))
         totals = np.zeros(len(params), dtype=np.int64)
-        batch = list(batch_samples(g, params, traj, step, rng, totals))
+        batch = list(batch_samples(g, params, traj, step, range(len(params)), totals))
         solos = [run_trajectory(g, p, traj, step, stream=k) for k, p in enumerate(params)]
         for k, solo in enumerate(solos):
             assert len(solo.samples) == len(batch)
@@ -490,9 +494,8 @@ class TestBatchSamples:
 
     def test_rows_share_gamma(self):
         rows = [P_FERRO, ModelParams(0.9, 1.2, 1.0, gamma=0.5)]
-        rng = RowStreams(RngStream(1, k).generator() for k in range(2))
         with pytest.raises(ConfigError):
-            next(batch_samples(build_lattice(2, 2), rows, TrajectoryConfig(t_total=1.0), StepConfig(), rng))
+            next(batch_samples(build_lattice(2, 2), rows, TrajectoryConfig(t_total=1.0), StepConfig(), [0, 1]))
 
 
 class TestStepSizeConvergence:
@@ -527,3 +530,33 @@ class TestEnsemble:
             se_x = sx[k].std(ddof=1) / np.sqrt(2000) + 1e-12
             assert abs(sz[k].mean() - (-1 + np.exp(-t))) < 3.5 * se_z
             assert abs(sx[k].mean() - np.exp(-t / 2)) < 3.5 * se_x
+
+    @pytest.mark.parametrize("jy", [0.9, 1.2], ids=["xxz-trap", "ferro"])
+    def test_rows_replay_alone(self, jy):
+        # row k of an ensemble started at stream 5 is solo trajectory 5 + k,
+        # bit for bit: samples, jumps per interval, totals (t_total is off the
+        # sampling cadence, so jumps after the last sample count) and the
+        # trap of the XXZ case (Jy = Jx)
+        g = build_lattice(2, 2)
+        p = ModelParams(0.9, jy, 1.0)
+        step = StepConfig(dt=0.05)
+        traj = TrajectoryConfig(t_total=61.9, sample_interval=2.0, seed=9)
+        n, first = 4, 5
+        times, blochs = run_ensemble(g, p, traj, step, n_traj=n, stream=first)
+        totals = np.zeros(n, dtype=np.int64)
+        rows = batch_samples(g, [p] * n, traj, step, range(first, first + n), totals)
+        jumps = np.array([j for _, _, j in rows])
+        trapped = 0
+        for k in range(n):
+            solo = run_trajectory(g, p, traj, step, stream=first + k)
+            assert [s.time for s in solo.samples] == times.tolist()
+            assert all(s.bloch.tobytes() == blochs[i, k].tobytes() for i, s in enumerate(solo.samples))
+            assert [s.jumps_in_interval for s in solo.samples] == jumps[:, k].tolist()
+            assert solo.total_jumps == totals[k]
+            dark = [t for t, b in zip(times, blochs[:, k]) if is_dark(b)]
+            assert solo.trapped_at == (dark[0] if dark else None)
+            trapped += solo.trapped_at is not None
+        if jy == 0.9:
+            assert trapped == n
+        else:  # the case covers jumps after the last sample
+            assert trapped == 0 and totals.sum() > jumps.sum()

@@ -87,9 +87,19 @@ def reference_full_wfmc_trajectory(geometry, p, traj, step, stream=0):
     return samples, total
 
 
+class _StepwiseRows:
+    """One Philox stream per row, drawn step by step with no read-ahead."""
+
+    def __init__(self, seed, streams):
+        self.generators = [RngStream(seed, s).generator() for s in streams]
+
+    def random(self, size):
+        return np.stack([gen.random(size[-1]) for gen in self.generators])
+
+
 def reference_full_wfmc_ensemble(geometry, p, traj, step, n_traj, stream=0):
     engine = FullWfmc(geometry, p)
-    rng = RngStream(traj.seed, stream).generator()
+    rng = _StepwiseRows(traj.seed, range(stream, stream + n_traj))
     psi0 = product_state_vector(plus_x_state(geometry.n_sites))
     psi = np.broadcast_to(psi0, (n_traj,) + psi0.shape).copy()
     n_steps = int(round(traj.t_total / step.dt))
@@ -413,6 +423,26 @@ class TestSharedDriver:
         want = reference_full_wfmc_ensemble(g, P_FERRO, traj, StepConfig(), n_traj=60, stream=2)
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_full_ensemble_rows_replay_alone(self):
+        # row k of an ensemble started at stream 3 is solo trajectory 3 + k,
+        # bit for bit, jumps after the last sample included
+        g = build_lattice(2, 1)
+        traj = TrajectoryConfig(t_total=10.3, sample_interval=1.0, seed=5)
+        n, first = 6, 3
+        times, blochs, pairs = full_wfmc_ensemble(g, P_FERRO, traj, StepConfig(), n_traj=n, stream=first)
+        totals = np.zeros(n, dtype=np.int64)
+        path = FullWfmc(g, P_FERRO)._path(traj, StepConfig(), range(first, first + n), totals)
+        jumps = np.array([j for _, _, j in path])
+        for k in range(n):
+            solo = full_wfmc_trajectory(g, P_FERRO, traj, StepConfig(), stream=first + k)
+            assert [s.time for s in solo.samples] == times.tolist()
+            for i, s in enumerate(solo.samples):
+                assert s.bloch.tobytes() == blochs[i, k].tobytes()
+                assert s.sxx_inst == float(structure_factor_from_pairs(pairs[i, k]))
+                assert s.jumps_in_interval == jumps[i, k]
+            assert solo.total_jumps == totals[k]
+        assert totals.sum() > jumps.sum()
 
     def test_dense_samples_match_reference(self):
         # 2.5 per sample is longer than integrate's 1.0 check interval, so the
