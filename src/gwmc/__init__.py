@@ -15,7 +15,7 @@ from .dynamics import (
     run_ensemble,
     run_trajectory,
 )
-from .lattice import LatticeGeometry, build_lattice, distance_classes, min_image_displacement
+from .lattice import LatticeGeometry, build_lattice
 from .observables import (
     Accumulator,
     Sample,
@@ -37,11 +37,9 @@ __all__ = [
     "__version__",
     "build_lattice",
     "correlation_profile",
-    "distance_classes",
     "magnetization",
     "mf_structure_factor",
     "mf_transition_point",
-    "min_image_displacement",
     "run_ensemble",
     "run_trajectory",
     "structure_factor",

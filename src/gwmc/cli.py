@@ -13,7 +13,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -25,7 +24,7 @@ from .dynamics import (
     StepConfig,
     TrajectoryConfig,
     batch_samples,
-    run_trajectory,
+    trajectory_stream,
     whole_steps,
 )
 from .errors import ConfigError, InsufficientDataError, NumericsError
@@ -39,7 +38,7 @@ from .observables import (
     mf_transition_point,
 )
 from .oracle import (_GEOMETRY_FOR_SITES, MAX_DENSE_SITES, MAX_SITES, DenseLindblad,
-                     full_wfmc_trajectory, oracle_report)
+                     full_wfmc_stream, oracle_report)
 
 ENGINES = ("gutzwiller", "fullwfmc", "exact")
 WORKERS_ENV = "GWMC_WORKERS"  # read by sweep only
@@ -161,48 +160,46 @@ def _base_meta(cfg: RunConfig, command: str, **own) -> dict[str, str]:
 
 # -- run -------------------------------------------------------------------
 
-def _series_rows(samples, n_sites: int):
-    for s in samples:
-        mx, my, mz = magnetization(s.bloch)
-        if s.sxx_inst is not None:
-            sxx = s.sxx_inst
-        elif n_sites > 1:
-            sxx = instantaneous_structure_factor(s.bloch[:, 0])
-        else:
-            sxx = 0.0
-        yield (s.time, mx, my, mz, sxx, s.jumps_in_interval)
-
-
 def _write_series(path, samples, n_sites: int) -> None:
-    with open(path, "w") as fh:
-        fh.write("time,Mx,My,Mz,Sxx_inst,jumps_this_interval\n")
-        for t, mx, my, mz, sxx, jumps in _series_rows(samples, n_sites):
-            fh.write(f"{_fmt(t)},{_fmt(mx)},{_fmt(my)},{_fmt(mz)},{_fmt(sxx)},{int(jumps)}\n")
+    """Write each sample's row as it arrives, into a file beside ``path``
+    that becomes ``path`` after the last row: a run that fails writes
+    nothing."""
+    part = f"{path}.part"
+    try:
+        with open(part, "w") as fh:
+            fh.write("time,Mx,My,Mz,Sxx_inst,jumps_this_interval\n")
+            for s in samples:
+                mx, my, mz = magnetization(s.bloch)
+                sxx = s.sxx_inst
+                if sxx is None:
+                    sxx = instantaneous_structure_factor(s.bloch[:, 0]) if n_sites > 1 else 0.0
+                fh.write(f"{_fmt(s.time)},{_fmt(mx)},{_fmt(my)},{_fmt(mz)},{_fmt(sxx)},{int(s.jumps_in_interval)}\n")
+        os.replace(part, path)
+    except BaseException:
+        if os.path.exists(part):
+            os.remove(part)
+        raise
 
 
-def _run_engine(cfg: RunConfig):
-    """Run the configured engine; returns (samples, extra-metadata dict)."""
-    geometry = cfg.geometry()
-    p = cfg.model()
-    traj = cfg.trajectory()
-    step = cfg.step()
+def _engine_stream(cfg: RunConfig):
+    """The configured engine's samples, as they are taken."""
+    geometry, p = cfg.geometry(), cfg.model()
+    traj, step = cfg.trajectory(), cfg.step()
     if cfg.engine == "gutzwiller":
-        result = run_trajectory(geometry, p, traj, step)
-        extra = {"total_jumps": str(result.total_jumps)}
-        if result.trapped_at is not None:
-            extra["trapped_at"] = _fmt(result.trapped_at)
-        return result.samples, extra
+        return trajectory_stream(geometry, p, traj, step)
     if cfg.engine == "fullwfmc":
-        result = full_wfmc_trajectory(geometry, p, traj, step)
-        return result.samples, {"total_jumps": str(result.total_jumps)}
-    return list(DenseLindblad(geometry, p).iter_samples(traj, step)), {}
+        return full_wfmc_stream(geometry, p, traj, step)
+    return DenseLindblad(geometry, p).iter_samples(traj, step)
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    samples, extra = _run_engine(cfg)
+    samples = _engine_stream(cfg)
     _write_series(f"{cfg.out}_series.csv", samples, cfg.width * cfg.height)
     meta = _base_meta(cfg, "run")
-    meta.update(extra)
+    if cfg.engine != "exact":  # a trajectory stream, now exhausted
+        meta["total_jumps"] = str(samples.total_jumps)
+        if samples.trapped_at is not None:
+            meta["trapped_at"] = _fmt(samples.trapped_at)
     write_meta(f"{cfg.out}_meta.txt", meta)
     print(f"wrote {cfg.out}_series.csv and {cfg.out}_meta.txt")
     return 0
@@ -279,6 +276,8 @@ def run_sweep(sweep: SweepConfig):
         bounds = [len(group) * c // n_chunks for c in range(n_chunks + 1)]
         chunks.extend(group[a:b] for a, b in zip(bounds, bounds[1:]))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled sweep pays for its import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = [r for chunk in pool.map(_sweep_task, chunks) for r in chunk]
     else:
@@ -336,8 +335,8 @@ def cmd_correlate(cfg: RunConfig) -> int:
     if cfg.engine != "gutzwiller":
         raise ConfigError("the correlation profile uses the factorized estimator; set engine = gutzwiller")
     geometry = cfg.geometry()
-    result = run_trajectory(geometry, cfg.model(), cfg.trajectory(), cfg.step())
-    profile = correlation_profile(result.samples, geometry)
+    samples = trajectory_stream(geometry, cfg.model(), cfg.trajectory(), cfg.step())
+    profile = correlation_profile(samples, geometry)  # keeps one class row per sample
     with open(f"{cfg.out}_corr.csv", "w") as fh:
         fh.write("dx,dy,distance,corr_xx,stderr,pair_count,axis_flag\n")
         for i, c in enumerate(profile.classes):
@@ -347,8 +346,8 @@ def cmd_correlate(cfg: RunConfig) -> int:
             )
     meta = _base_meta(cfg, "correlate")
     meta["n_samples"] = str(profile.n_samples)
-    if result.trapped_at is not None:
-        meta["trapped_at"] = _fmt(result.trapped_at)
+    if samples.trapped_at is not None:
+        meta["trapped_at"] = _fmt(samples.trapped_at)
     write_meta(f"{cfg.out}_meta.txt", meta)
     print(f"wrote {cfg.out}_corr.csv and {cfg.out}_meta.txt")
     return 0

@@ -19,6 +19,8 @@ trajectories on one lattice are advanced as one (m, n_sites, 2) array by
 :func:`batch_samples`, each row drawing from its own counter-based stream
 (:class:`RowStreams`). :func:`step_and_sample` is the one step-and-sample
 loop, for this engine and for the exact references in :mod:`gwmc.oracle`.
+One trajectory is a :class:`TrajectoryStream` of Samples, which consumers
+reduce as they arrive; :func:`run_trajectory` collects it.
 """
 
 from __future__ import annotations
@@ -367,6 +369,33 @@ class TrajectoryResult:
         return [s for s in self.samples if not s.burn_in]
 
 
+class TrajectoryStream:
+    """One trajectory's Samples, taken as it is iterated (once) and kept
+    nowhere: ``sample(t, observation, jumps)`` makes each from a row of the
+    one-row :func:`step_and_sample` ``path`` of (traj, step), which fills
+    ``totals``. Its length is known before; once it is exhausted,
+    ``total_jumps`` is final, and with ``trap`` so is ``trapped_at``, the
+    time of the first all-down sample."""
+
+    def __init__(self, traj, step, path, totals: np.ndarray, sample, trap: bool = False):
+        self._cadence = traj, step
+        self._path, self._totals, self._sample, self._trap = path, totals, sample, trap
+        self.trapped_at: float | None = None
+        self.total_jumps = 0
+
+    def __len__(self) -> int:
+        spp, n_steps = cadence(*self._cadence)
+        return n_steps // spp + 1
+
+    def __iter__(self):
+        for t, observation, jumps in self._path:
+            s = self._sample(t, observation, int(jumps[0]))
+            if self._trap and self.trapped_at is None and is_dark(s.bloch):
+                self.trapped_at = t
+            yield s
+        self.total_jumps = int(self._totals[0])
+
+
 def k_steps(advance_once, rows: int):
     """Lift a one-step advance, returning (new state, jumped index array) as
     :func:`advance` does, to the driver's ``advance(state, k)``: k steps and
@@ -393,6 +422,13 @@ def whole_steps(duration: float, dt: float) -> int:
     return int(round(count))
 
 
+def cadence(traj: TrajectoryConfig, step: StepConfig) -> tuple[int, int]:
+    """(steps per sample, steps in all) of :func:`step_and_sample`."""
+    if traj.sample_interval < step.dt:
+        raise ConfigError("sample_interval must be at least dt")
+    return whole_steps(traj.sample_interval, step.dt), whole_steps(traj.t_total, step.dt)
+
+
 def step_and_sample(state, advance, observe, traj: TrajectoryConfig, step: StepConfig,
                     rows: int = 1, trap: bool = False, totals: np.ndarray | None = None):
     """The one step-and-sample loop, shared by all three engines.
@@ -410,11 +446,7 @@ def step_and_sample(state, advance, observe, traj: TrajectoryConfig, step: StepC
     over the whole horizon; only then are the steps after the last sample
     taken.
     """
-    if traj.sample_interval < step.dt:
-        raise ConfigError("sample_interval must be at least dt")
-    n_steps = whole_steps(traj.t_total, step.dt)
-    spp = whole_steps(traj.sample_interval, step.dt)
-
+    spp, n_steps = cadence(traj, step)
     obs = observe(state)
     trapped = np.zeros(rows, dtype=bool)
     total = np.zeros(rows, dtype=np.int64)
@@ -468,6 +500,18 @@ def batch_samples(
     return step_and_sample(amps, advance_k, observe, traj, step, m, trap=True, totals=totals)
 
 
+def trajectory_stream(geometry: LatticeGeometry, p: ModelParams, traj: TrajectoryConfig,
+                      step: StepConfig = StepConfig(), stream: int = 0) -> TrajectoryStream:
+    """The samples of :func:`run_trajectory`, as they are taken."""
+    totals = np.zeros(1, dtype=np.int64)
+
+    def sample(t, bloch, jumps):
+        return Sample(t, bloch[0], burn_in=t < traj.burn_in, jumps_in_interval=jumps)
+
+    path = batch_samples(geometry, [p], traj, step, [stream], totals)
+    return TrajectoryStream(traj, step, path, totals, sample, trap=True)
+
+
 def run_trajectory(
     geometry: LatticeGeometry,
     p: ModelParams,
@@ -482,14 +526,8 @@ def run_trajectory(
     trapped and integration short-circuits: the dark state is exact, so later
     samples simply repeat the frozen Bloch vectors.
     """
-    totals = np.zeros(1, dtype=np.int64)
-    samples = []
-    trapped_at = None
-    for t, bloch, jumps in batch_samples(geometry, [p], traj, step, [stream], totals):
-        if trapped_at is None and is_dark(bloch[0]):
-            trapped_at = t
-        samples.append(Sample(t, bloch[0], burn_in=t < traj.burn_in, jumps_in_interval=int(jumps[0])))
-    return TrajectoryResult(samples, trapped_at, int(totals[0]))
+    samples = trajectory_stream(geometry, p, traj, step, stream)
+    return TrajectoryResult(list(samples), samples.trapped_at, samples.total_jumps)
 
 
 def run_ensemble(

@@ -27,7 +27,6 @@ class LatticeGeometry:
     width: int
     height: int
     neighbor_table: np.ndarray  # (n_sites, degree) int64
-    degenerate: bool  # width < 3 or height < 3: non-physical for production sweeps
 
     @property
     def n_sites(self) -> int:
@@ -48,7 +47,7 @@ class DisplacementClass:
     """A minimum-image displacement, or a symmetry class of them.
 
     ``pair_count`` is the number of ordered site pairs aggregated into the
-    class (1 for a single displacement from :func:`min_image_displacement`).
+    class (1 for a single displacement).
     """
 
     dx: int
@@ -67,8 +66,8 @@ def build_lattice(width: int, height: int) -> LatticeGeometry:
 
     Raises ValueError for non-positive dimensions. Widths or heights below 3
     are allowed (the exact small-system solvers need 2x1 and 2x2) but produce
-    duplicate wrap images; the duplicates are removed and the geometry is
-    flagged ``degenerate``.
+    duplicate wrap images, which are removed: such a lattice has degree
+    below 4.
     """
     if int(width) != width or int(height) != height or width < 1 or height < 1:
         raise ValueError(f"lattice dimensions must be positive integers, got {width}x{height}")
@@ -90,23 +89,13 @@ def build_lattice(width: int, height: int) -> LatticeGeometry:
             degree = len(nbrs)
         rows.append(nbrs)
     table = np.asarray(rows, dtype=np.int64).reshape(n, degree)
-    return LatticeGeometry(width, height, table, degenerate=(width < 3 or height < 3))
+    return LatticeGeometry(width, height, table)
 
 
 def _wrap(delta: np.ndarray, length: int) -> np.ndarray:
     """Reduce raw offsets into the half-open interval (-length/2, length/2]."""
     d = np.mod(delta, length)
     return np.where(2 * d > length, d - length, d)
-
-
-def min_image_displacement(geometry: LatticeGeometry, i: int, j: int) -> DisplacementClass:
-    """Signed minimum-image offset and Euclidean distance from site i to site j."""
-    n = geometry.n_sites
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"site index out of range for {n} sites: ({i}, {j})")
-    dx = int(_wrap(np.asarray((j % geometry.width) - (i % geometry.width)), geometry.width))
-    dy = int(_wrap(np.asarray((j // geometry.width) - (i // geometry.width)), geometry.height))
-    return DisplacementClass(dx, dy, float(np.hypot(dx, dy)), pair_count=1)
 
 
 def offset_class_index(geometry: LatticeGeometry) -> tuple[list[DisplacementClass], np.ndarray]:
@@ -147,12 +136,6 @@ def pair_class_index(geometry: LatticeGeometry) -> tuple[list[DisplacementClass]
     classes, offset_id = offset_class_index(geometry)
     row, col = np.divmod(np.arange(geometry.n_sites), geometry.width)
     return classes, offset_id[(row - row[:, None]) % geometry.height, (col - col[:, None]) % geometry.width]
-
-
-def distance_classes(geometry: LatticeGeometry) -> list[DisplacementClass]:
-    """Displacement classes with ordered-pair counts; counts sum to N(N-1)."""
-    classes, _ = offset_class_index(geometry)
-    return classes
 
 
 def bonds(geometry: LatticeGeometry) -> list[tuple[int, int]]:

@@ -10,7 +10,7 @@ trajectory, or an ensemble of trajectories).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,30 +118,33 @@ class CorrelationProfile:
     stderr: np.ndarray  # (n_classes,)
     n_samples: int
 
-    def axis_indices(self) -> list[int]:
-        """Class indices lying along a lattice direction (the inset subset)."""
-        return [i for i, c in enumerate(self.classes) if c.is_axis]
-
 
 def correlation_series(samples, geometry: LatticeGeometry) -> tuple[list[DisplacementClass], np.ndarray]:
     """Per-sample per-class mean pair products, shape (n_samples, n_classes).
 
+    Each post-burn-in sample becomes its row as it arrives, and only the
+    rows are kept: ``samples``, of known length, may be a trajectory stream.
     The pair sum over one offset d is the circular autocorrelation
     sum_r s(r) s(r + d), taken for all offsets at once by FFT in O(n log n).
     """
     classes, offset_id = offset_class_index(geometry)
     shape = (geometry.height, geometry.width)
-    sx = np.array([s.bloch[:, 0] for s in samples if not s.burn_in]).reshape(-1, *shape)
-    spectrum = np.fft.rfft2(sx)
-    autocorr = np.fft.irfft2(spectrum * spectrum.conj(), s=shape)
-    # bin (sample, class + 1): column 0 collects the zero offset and is dropped
-    m, k = len(sx), len(classes)
-    bins = offset_id.ravel() + 1 + (k + 1) * np.arange(m)[:, None]
-    sums = np.bincount(bins.ravel(), autocorr.ravel(), minlength=m * (k + 1)).reshape(m, k + 1)
-    return classes, sums[:, 1:] / np.array([c.pair_count for c in classes], dtype=float)
+    bins = offset_id.ravel() + 1  # bin class + 1: bin 0 collects the zero offset and is dropped
+    counts = np.array([c.pair_count for c in classes], dtype=float)
+    rows, m = np.empty((len(samples), len(classes))), 0  # burn-in rows stay unwritten
+    for s in samples:
+        if s.burn_in:
+            continue
+        spectrum = np.fft.rfft2(s.bloch[:, 0].reshape(shape))
+        autocorr = np.fft.irfft2(spectrum * spectrum.conj(), s=shape)
+        rows[m] = np.bincount(bins, autocorr.ravel(), minlength=len(classes) + 1)[1:] / counts
+        m += 1
+    return classes, rows[:m]
 
 
 def correlation_profile(samples, geometry: LatticeGeometry) -> CorrelationProfile:
+    """Batch-means profile of :func:`correlation_series`; ``samples`` may
+    be a stream."""
     classes, rows = correlation_series(samples, geometry)
     if rows.shape[0] < 2:
         raise InsufficientDataError(f"only {rows.shape[0]} post-burn-in samples")

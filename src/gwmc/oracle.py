@@ -18,7 +18,7 @@ matching a Kronecker-product build in site order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -30,6 +30,7 @@ from .dynamics import (
     StepConfig,
     TrajectoryConfig,
     TrajectoryResult,
+    TrajectoryStream,
     initial_product_state,
     k_steps,
     run_ensemble,
@@ -330,6 +331,20 @@ class FullWfmc:
         return step_and_sample(psi, advance_k, observe, traj, step, rows, totals=totals)
 
 
+def full_wfmc_stream(geometry: LatticeGeometry, p: ModelParams, traj: TrajectoryConfig,
+                     step: StepConfig = StepConfig(), stream: int = 0) -> TrajectoryStream:
+    """The samples of :func:`full_wfmc_trajectory`, as they are taken."""
+    engine = FullWfmc(geometry, p)
+    totals = np.zeros(1, dtype=np.int64)
+
+    def sample(t, observed, jumps):
+        bloch, xx = observed
+        sxx = float(structure_factor_from_pairs(xx[0])) if engine.n > 1 else 0.0
+        return Sample(t, bloch[0], burn_in=t < traj.burn_in, jumps_in_interval=jumps, sxx_inst=sxx)
+
+    return TrajectoryStream(traj, step, engine._path(traj, step, [stream], totals), totals, sample)
+
+
 def full_wfmc_trajectory(
     geometry: LatticeGeometry,
     p: ModelParams,
@@ -340,14 +355,8 @@ def full_wfmc_trajectory(
     """Single unrestricted trajectory with the manifold engine's sampling
     cadence; samples carry exact per-site Bloch vectors and exact pair-based
     instantaneous structure factors."""
-    engine = FullWfmc(geometry, p)
-    totals = np.zeros(1, dtype=np.int64)
-    samples = []
-    for t, (bloch, xx), jumps in engine._path(traj, step, [stream], totals):
-        sxx = float(structure_factor_from_pairs(xx[0])) if engine.n > 1 else 0.0
-        samples.append(Sample(t, bloch[0], burn_in=t < traj.burn_in,
-                              jumps_in_interval=int(jumps[0]), sxx_inst=sxx))
-    return TrajectoryResult(samples, None, int(totals[0]))
+    samples = full_wfmc_stream(geometry, p, traj, step, stream)
+    return TrajectoryResult(list(samples), None, samples.total_jumps)
 
 
 def full_wfmc_ensemble(
@@ -456,8 +465,9 @@ def oracle_report(
     # 2. unraveling exactness at checkpoint times
     traj = TrajectoryConfig(t_total=t_total, sample_interval=1.0, seed=seed)
     step = StepConfig(dt=dt)
-    times, blochs, pairs = full_wfmc_ensemble(geometry, p, traj, step, n_traj)
     checkpoints = [t for t in _CHECKPOINTS if t <= t_total + 1e-9]
+    # the full-space ensemble stops at the last checkpoint, the last time it is read
+    times, blochs, pairs = full_wfmc_ensemble(geometry, p, replace(traj, t_total=checkpoints[-1]), step, n_traj)
     sys_n = DenseLindblad(geometry, p)
     rho = product_density(plus_x_state(n_sites))
     worst = 0.0

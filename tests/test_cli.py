@@ -1,16 +1,22 @@
+import gc
 import importlib.util
+import os
 import re
+import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gwmc import dynamics
-from gwmc.cli import (COMMANDS, ENGINES, RunConfig, SweepConfig, _base_meta, build_parser, main, parse_kv_file,
-                      run_sweep)
-from gwmc.errors import ConfigError
+from gwmc import dynamics, oracle
+from gwmc.cli import (COMMANDS, ENGINES, RunConfig, SweepConfig, _base_meta, _fmt, _write_series, build_parser, main,
+                      parse_kv_file, run_sweep)
+from gwmc.dynamics import run_trajectory
+from gwmc.errors import ConfigError, NumericsError
+from gwmc.observables import correlation_profile
 from gwmc.state import down_state, plus_x_state, save_state_csv
 
 
@@ -360,6 +366,102 @@ class TestCorrelateCommand:
     def test_requires_manifold_engine(self, tmp_path):
         args = _run_args(tmp_path, "ce", engine="exact", width="2", height="2")
         assert main(["correlate", *args]) == 1
+
+
+class TestStreaming:
+    """run and correlate consume each sample as the step loop takes it."""
+
+    @pytest.mark.parametrize("command", ["run", "correlate"])
+    def test_peak_memory_bounded_in_the_horizon(self, tmp_path, command):
+        # from T to 10 T the peak grows by far less than the (n, 3) Bloch
+        # history of the extra samples would take
+        def peak(t_total):
+            args = _run_args(tmp_path, f"m{t_total}", width="8", height="8",
+                             **{"t-total": str(t_total), "burn-in": "0", "sample-interval": "0.1"})
+            gc.collect()
+            gc.disable()  # each run's garbage (its parser) then lives to the end, whenever a collection would come
+            tracemalloc.start()
+            try:
+                assert main([command, *args]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+
+        t = 3
+        peak(t)  # first calls allocate once: imports, caches
+        short = peak(t)
+        grown = peak(10 * t) - short
+        history = round(9 * t / 0.1) * 64 * 3 * 8
+        assert grown < history / 4, (grown, history)
+
+    def test_correlate_csv_equals_the_collected_profile(self, tmp_path):
+        args = _run_args(tmp_path, "cs", width="6", height="6", **{"t-total": "20", "burn-in": "2",
+                                                                   "sample-interval": "0.5"})
+        assert main(["correlate", *args]) == 0
+        cfg = RunConfig.from_mapping(parse_kv_file(tmp_path / "cs_meta.txt"))
+        geometry = cfg.geometry()
+        profile = correlation_profile(run_trajectory(geometry, cfg.model(), cfg.trajectory(), cfg.step()).samples,
+                                      geometry)
+        lines = ["dx,dy,distance,corr_xx,stderr,pair_count,axis_flag"] + [
+            f"{c.dx},{c.dy},{_fmt(c.distance)},{_fmt(m)},{_fmt(e)},{c.pair_count},{int(c.is_axis)}"
+            for c, m, e in zip(profile.classes, profile.mean, profile.stderr)
+        ]
+        assert (tmp_path / "cs_corr.csv").read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("engine,over", [
+        pytest.param("gutzwiller", {}, id="gutzwiller"),
+        pytest.param("gutzwiller", {"width": "4", "height": "4", "jy": "0.9", "jx": "0.9", "t-total": "150",
+                                    "burn-in": "0"}, id="gutzwiller-xxz-trap"),
+        pytest.param("fullwfmc", {"width": "2", "height": "1"}, id="fullwfmc"),
+        pytest.param("exact", {"width": "2", "height": "1"}, id="exact"),
+    ])
+    def test_run_csv_equals_the_collected_series(self, tmp_path, engine, over):
+        assert main(["run", *_run_args(tmp_path, "st", engine=engine, **over)]) == 0
+        meta = parse_kv_file(tmp_path / "st_meta.txt")
+        cfg = RunConfig.from_mapping(meta)
+        geometry, p, traj, step = cfg.geometry(), cfg.model(), cfg.trajectory(), cfg.step()
+        if engine == "exact":
+            samples = list(oracle.DenseLindblad(geometry, p).iter_samples(traj, step))
+            assert "total_jumps" not in meta
+        else:
+            result = {"gutzwiller": run_trajectory, "fullwfmc": oracle.full_wfmc_trajectory}[engine](
+                geometry, p, traj, step)
+            samples = result.samples
+            assert meta["total_jumps"] == str(result.total_jumps)
+            assert meta.get("trapped_at") == (None if result.trapped_at is None else _fmt(result.trapped_at))
+            assert ("trapped_at" in meta) == ("jx" in over)
+        _write_series(tmp_path / "collected.csv", samples, geometry.n_sites)
+        assert _read(tmp_path / "st_series.csv") == _read(tmp_path / "collected.csv")
+
+    @pytest.mark.parametrize("engine,owner,attr,fail_at", [
+        ("gutzwiller", dynamics, "advance", 250),  # one call per step
+        ("fullwfmc", oracle.FullWfmc, "advance", 250),
+        ("exact", oracle.DenseLindblad, "integrate", 3),  # one call per sample interval
+    ])
+    def test_numerics_error_mid_run_writes_nothing(self, tmp_path, capsys, monkeypatch, engine, owner, attr,
+                                                   fail_at):
+        # the failure comes after the first rows were streamed out
+        original = getattr(owner, attr)
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == fail_at:
+                raise NumericsError("injected")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, failing)
+        args = _run_args(tmp_path, "nm", engine=engine, width="2", height="1", **{"t-total": "5", "burn-in": "1"})
+        assert main(["run", *args]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert not list(tmp_path.iterdir())
+
+    def test_only_a_pooled_sweep_imports_the_pool(self):
+        code = "import sys, gwmc.cli; print('concurrent.futures' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
 
 
 class TestMfCurveCommand:

@@ -17,6 +17,7 @@ from gwmc.dynamics import (
     jump_probabilities,
     run_ensemble,
     run_trajectory,
+    trajectory_stream,
 )
 from gwmc.lattice import build_lattice
 from gwmc.state import (
@@ -455,6 +456,14 @@ class TestRunTrajectory:
         g = build_lattice(2, 2)
         with pytest.raises(ConfigError):
             run_trajectory(g, P_FERRO, TrajectoryConfig(t_total=5.0, sample_interval=0.001), StepConfig(dt=0.01))
+
+    @pytest.mark.parametrize("t_total,interval,dt", [(10.0, 1.0, 0.01), (1.05, 0.1, 0.01), (2.0, 0.3, 0.01),
+                                                     (1.0, 0.02, 0.02), (0.5, 0.5, 0.01), (3.0, 0.7, 0.05)])
+    def test_stream_knows_its_length(self, t_total, interval, dt):
+        # correlation_series sizes its rows by len() before the first sample
+        traj = TrajectoryConfig(t_total=t_total, sample_interval=interval, seed=2)
+        samples = trajectory_stream(build_lattice(2, 2), P_FERRO, traj, StepConfig(dt=dt))
+        assert len(samples) == len(list(samples))
 
 
 class TestRngStream:

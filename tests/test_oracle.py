@@ -4,6 +4,7 @@ import pytest
 from conftest import random_product_state
 from gwmc.errors import ConfigError, NumericsError
 from gwmc.dynamics import ModelParams, RngStream, StepConfig, TrajectoryConfig, run_trajectory
+from gwmc import oracle
 from gwmc.lattice import build_lattice
 from gwmc.oracle import (
     DenseLindblad,
@@ -488,3 +489,16 @@ class TestOracleReport:
     def test_rejects_unsupported_size(self):
         with pytest.raises(ConfigError):
             oracle_report(3, P_FERRO)
+
+    @pytest.mark.parametrize("t_total,horizon", [(3.0, 2.0), (10.0, 10.0)])
+    def test_full_space_ensemble_stops_at_the_last_checkpoint(self, monkeypatch, t_total, horizon):
+        # checkpoints are 1, 2, 5 and 10: later samples would never be read
+        horizons = []
+
+        def recording(geometry, p, traj, *args, **kwargs):
+            horizons.append(traj.t_total)
+            return full_wfmc_ensemble(geometry, p, traj, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "full_wfmc_ensemble", recording)
+        assert oracle_report(1, P_FERRO, t_total=t_total, n_traj=2, seed=7).checks
+        assert horizons == [horizon]
