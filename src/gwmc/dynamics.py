@@ -163,25 +163,20 @@ _SELECT = np.array([
 
 
 def _sum_plan(x: np.ndarray, out: np.ndarray) -> list:
-    """The (a, b, out) adds that sum x over its leading axis into out, in a
-    fixed order: (x0 + x2) + (x1 + x3) for four terms, (x0 + x2) + x1 for
-    three. They overwrite x; at least two terms."""
+    """The adds that sum x over its leading axis into out, in a fixed order:
+    (x0 + x2) + (x1 + x3) for four terms, (x0 + x2) + x1 for three, as
+    (ufunc, operands) calls. They overwrite x; at least two terms."""
     plan = []
     while len(x) > 2:
         if len(x) % 2:  # an odd last term goes into the first
-            plan.append((x[0], x[-1], x[0]))
+            plan.append((np.add, (x[0], x[-1], x[0])))
             x = x[:-1]
         else:
             half = len(x) // 2
-            plan.append((x[:half], x[half:], x[:half]))
+            plan.append((np.add, (x[:half], x[half:], x[:half])))
             x = x[:half]
-    plan.append((x[0], x[1], out))
+    plan.append((np.add, (x[0], x[1], out)))
     return plan
-
-
-def _run(plan) -> None:
-    for a, b, out in plan:
-        np.add(a, b, out=out)
 
 
 class _DriftKernel:
@@ -195,8 +190,14 @@ class _DriftKernel:
     output, so each entry is one exact product; every sum of two or more
     terms is an elementwise add in a fixed order. So no result depends on
     the batch width: each row of a batch is bit-identical to its spinors
-    stepped alone. The buffers, and the views into them that a stage uses,
-    are made once per batch width.
+    stepped alone.
+
+    The kernel owns its buffers, made once per state shape: the state's
+    copy, the stage input, the accumulator, the stage derivative, the mask
+    and the output. Each RK4 step is compiled once per (dt, masked or not)
+    into a flat list of (ufunc, operands) calls on them, so a step costs
+    the numpy calls and no Python around them. The step a call returns is
+    the output buffer, which the next call overwrites.
     """
 
     def __init__(self, geometry: LatticeGeometry, p: ModelParams):
@@ -204,73 +205,88 @@ class _DriftKernel:
         self.p = p
         couplings = np.broadcast_arrays(*(np.asarray(v, float) for v in (p.jx, p.jy, p.jz)))
         self._couplings = np.stack(couplings).reshape(3, -1, 1)  # (3, 1 or one per row, 1)
-        self._size = None
+        self._shape = None
 
-    def _fit(self, size: int) -> None:
+    def _fit(self, shape: tuple) -> None:
+        """The buffers for states of this (..., n_sites, 2) shape, with no
+        compiled step yet."""
         n = self.geometry.n_sites
         degree = self.geometry.degree
+        self._in, self._out = np.empty((2,) + shape, dtype=np.complex128)
+        # the (4, N) real, component-major views of the complex (N, 2) spinors
+        self._y, self._y_out = (a.view(np.float64).reshape(-1, 4).T for a in (self._in, self._out))
+        size = self._y.shape[1]
+        self._mask = np.empty(shape[:-1])
         z = self._selected = np.empty((len(_SELECT), size))
-        quad = self._quad = z[:16].reshape(4, 4, size)
-        self._quad_sum = _sum_plan(quad, quad[0])
         self._bloch = np.empty((3, size))
-        self._ratio = z[:3], z[3], self._bloch  # (sx, sy, sz) |psi|^2 / |psi|^2
         sites = self.geometry.neighbor_table.T[:, None, :] + np.arange(size // n)[:, None] * n
         self._gather = sites.reshape(degree, 1, size) + np.arange(3)[:, None] * size  # flat, into Bloch
         gen = self._generator = np.empty((4, size))
         gen[3] = -0.5 * self.p.gamma
-        field = self._field = np.zeros((max(degree, 1), 3, size))  # stays zero with no neighbours
-        self._field_sum = _sum_plan(field, gen[:3]) if degree > 1 else []
+        self._field = np.zeros((max(degree, 1), 3, size))  # stays zero with no neighbours
+        self._acc, self._k, self._stage_input = np.empty((3, 4, size))
+        self._programs = {}
+        self._shape = shape
+
+    def _stage_program(self, x: np.ndarray, k: np.ndarray) -> list:
+        """The calls of one derivative stage: dy/dt = -i h(Psi) psi at the
+        (4, N) snapshot x, into k."""
+        z, field, gen = self._selected, self._field, self._generator
+        quad = z[:16].reshape(4, 4, -1)
+        program = [
+            (np.matmul, (_SELECT, x, z)),
+            (np.multiply, (quad, x[:, None, :], quad)),
+            *_sum_plan(quad, quad[0]),
+            (np.divide, (z[:3], z[3], self._bloch)),
+        ]
+        degree = self.geometry.degree
+        if degree:
+            program.append((self._bloch.take, (self._gather, None, field, "clip")))  # "raise" buffers out
+        if degree > 1:
+            program += _sum_plan(field, gen[:3])
         total = gen[:3] if degree > 1 else field[0]
         groups = self._couplings.shape[1]
-        self._coefficients = total.reshape(3, groups, -1), gen[:3].reshape(3, groups, -1)
-        terms = z[16:].reshape(4, 4, size)
-        self._terms = terms, gen[:, None, :]
-        self._acc, self._k, self._stage_input = np.empty((3, 4, size))
-        self._term_sums = _sum_plan(terms, self._acc), _sum_plan(terms, self._k)
-        self._size = size
+        terms = z[16:].reshape(4, 4, -1)
+        return program + [
+            (np.multiply, (total.reshape(3, groups, -1), self._couplings, gen[:3].reshape(3, groups, -1))),
+            (np.multiply, (terms, gen[:, None, :], terms)),
+            *_sum_plan(terms, k),
+        ]
 
-    def _stage(self, x: np.ndarray, into: int, mask) -> np.ndarray:
-        """dy/dt = -i h(Psi) psi at the snapshot x, zero off the mask, into
-        the accumulator (into = 0, the first stage) or the stage buffer."""
-        np.matmul(_SELECT, x, out=self._selected)
-        np.multiply(self._quad, x[:, None, :], out=self._quad)
-        _run(self._quad_sum)
-        np.divide(*self._ratio)
-        if len(self._gather):
-            np.take(self._bloch, self._gather, out=self._field, mode="clip")  # "raise" buffers out
-        _run(self._field_sum)
-        total, coefficients = self._coefficients
-        np.multiply(total, self._couplings, out=coefficients)
-        terms, generator = self._terms
-        np.multiply(terms, generator, out=terms)
-        _run(self._term_sums[into])
-        k = (self._acc, self._k)[into]
-        if mask is not None:
-            k *= mask
-        return k
+    def _compile(self, dt: float, masked: bool) -> list:
+        """The calls of one classical RK4 step, not renormalized: y + dt/6
+        (((k1 + 2 k2) + 2 k3) + k4), with k1 kept in the accumulator; each k
+        is zero off the mask."""
+        y, x, acc, k = self._y, self._stage_input, self._acc, self._k
+        mask = self._mask.reshape(-1)
+
+        def stage(snapshot, into):
+            calls = self._stage_program(snapshot, into)
+            return calls + [(np.multiply, (into, mask, into))] if masked else calls
+
+        program = stage(y, acc) + [(np.multiply, (acc, 0.5 * dt, x)), (np.add, (x, y, x))]
+        for c in (0.5 * dt, dt, None):
+            program += stage(x, k)
+            if c is not None:  # the next stage's snapshot y + c k
+                program += [(np.multiply, (k, c, x)), (np.add, (x, y, x)), (np.multiply, (k, 2.0, k))]
+            program.append((np.add, (acc, k, acc)))
+        return program + [(np.multiply, (acc, dt / 6.0, acc)), (np.add, (y, acc, self._y_out))]
 
     def __call__(self, amps: np.ndarray, dt: float, active: np.ndarray | None) -> np.ndarray:
-        """One classical RK4 step of the drift, not renormalized: y + dt/6
-        (((k1 + 2 k2) + 2 k3) + k4), with k1 kept in the accumulator."""
-        amps = np.ascontiguousarray(amps, dtype=np.complex128)
-        y = amps.view(np.float64).reshape(-1, 4).T
-        if y.shape[1] != self._size:
-            self._fit(y.shape[1])
-        mask = None if active is None else active.reshape(-1)
-        acc = self._stage(y, 0, mask)
-        x = np.multiply(acc, 0.5 * dt, out=self._stage_input)
-        x += y
-        for c in (0.5 * dt, dt, None):
-            k = self._stage(x, 1, mask)
-            if c is not None:  # the next stage's snapshot y + c k
-                np.multiply(k, c, out=x)
-                x += y
-                k *= 2.0
-            acc += k
-        acc *= dt / 6.0
-        out = np.empty_like(amps)
-        np.add(y, acc, out=out.view(np.float64).reshape(-1, 4).T)
-        return out
+        """One RK4 step of the drift, not renormalized, into the output
+        buffer; ``active`` masks the sites being advanced."""
+        if amps.shape != self._shape:
+            self._fit(amps.shape)
+        key = dt, active is not None
+        program = self._programs.get(key)
+        if program is None:
+            program = self._programs[key] = self._compile(*key)
+        np.copyto(self._in, amps)
+        if active is not None:
+            np.copyto(self._mask, active)
+        for f, args in program:
+            f(*args)
+        return self._out
 
 
 _kernel: _DriftKernel | None = None
@@ -278,7 +294,8 @@ _kernel: _DriftKernel | None = None
 
 def _drift_kernel(geometry: LatticeGeometry, p: ModelParams) -> _DriftKernel:
     """The kernel of (geometry, p), rebuilt when either is a new object:
-    batch_samples stacks its couplings once, so each of its runs builds one."""
+    batch_samples stacks its couplings once, so each of its runs builds one,
+    and lets it go when the run ends."""
     global _kernel
     if _kernel is None or _kernel.geometry is not geometry or _kernel.p is not p:
         _kernel = _DriftKernel(geometry, p)
@@ -306,6 +323,11 @@ def jump_probabilities(amps: np.ndarray, p: ModelParams, dt: float) -> np.ndarra
     return (p.gamma * dt) * (u.real**2 + u.imag**2)
 
 
+# the jumped indices of a jump-free step, a read-only (0, ndim) view of this
+_NO_JUMPS = np.empty((0, 32), dtype=np.intp)
+_NO_JUMPS.flags.writeable = False
+
+
 def advance(
     amps: np.ndarray,
     geometry: LatticeGeometry,
@@ -327,10 +349,8 @@ def advance(
     if jumped.any():
         amps = amps.copy()
         amps[jumped, :] = (0.0, 1.0)
-        new = deterministic_step(amps, geometry, p, step.dt, active=~jumped)
-    else:
-        new = deterministic_step(amps, geometry, p, step.dt)
-    return new, np.argwhere(jumped)
+        return deterministic_step(amps, geometry, p, step.dt, active=~jumped), np.argwhere(jumped)
+    return deterministic_step(amps, geometry, p, step.dt), _NO_JUMPS[:, :jumped.ndim]
 
 
 def initial_product_state(traj: TrajectoryConfig, n_sites: int) -> np.ndarray:
@@ -497,7 +517,17 @@ def batch_samples(
         return bloch_vectors(a).reshape(m, -1, 3)
 
     advance_k = k_steps(lambda a: advance(a, geometry, p, step, rng), m)
-    return step_and_sample(amps, advance_k, observe, traj, step, m, trap=True, totals=totals)
+    return _releasing_kernel(step_and_sample(amps, advance_k, observe, traj, step, m, trap=True, totals=totals))
+
+
+def _releasing_kernel(path):
+    """Yield from ``path``, then drop the drift kernel and its buffers, so
+    that none outlives the run that built it."""
+    global _kernel
+    try:
+        yield from path
+    finally:
+        _kernel = None
 
 
 def trajectory_stream(geometry: LatticeGeometry, p: ModelParams, traj: TrajectoryConfig,

@@ -17,6 +17,7 @@ from .errors import ConfigError, NumericsError
 
 # squared-norm floor below which a spinor is considered numerically destroyed
 _NORM2_FLOOR = 1e-24
+_NORM2_MAX = np.finfo(np.float64).max  # above it the norm is infinite
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -75,7 +76,8 @@ def renormalize(amps: np.ndarray) -> np.ndarray:
     oversized time step or a jump applied to an already-down site.
     """
     norm2 = _abs2(amps[..., 0]) + _abs2(amps[..., 1])
-    if np.any(norm2 < _NORM2_FLOOR) or not np.all(np.isfinite(norm2)):
+    # one min and one max: a NaN fails both comparisons
+    if not (norm2.min() >= _NORM2_FLOOR and norm2.max() <= _NORM2_MAX):
         raise NumericsError("spinor norm vanished; reduce dt or inspect jump handling")
     return amps / np.sqrt(norm2)[..., None]
 

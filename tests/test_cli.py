@@ -395,6 +395,21 @@ class TestStreaming:
         history = round(9 * t / 0.1) * 64 * 3 * 8
         assert grown < history / 4, (grown, history)
 
+    def test_no_drift_kernel_outlives_the_command(self, tmp_path):
+        # the drift kernel's buffers go when the run that built them ends: no
+        # array data allocated in dynamics.py stays live (numpy traces array
+        # data in its own domain, apart from the interpreter's free lists)
+        args = _run_args(tmp_path, "k", width="8", height="8", **{"t-total": "3", "burn-in": "0"})
+        arrays = tracemalloc.Filter(True, dynamics.__file__, domain=np.lib.tracemalloc_domain)
+        tracemalloc.start()
+        try:
+            assert main(["correlate", *args]) == 0
+            gc.collect()
+            live = tracemalloc.take_snapshot().filter_traces([arrays])
+        finally:
+            tracemalloc.stop()
+        assert not live.traces, live.statistics("lineno")[:3]
+
     def test_correlate_csv_equals_the_collected_profile(self, tmp_path):
         args = _run_args(tmp_path, "cs", width="6", height="6", **{"t-total": "20", "burn-in": "2",
                                                                    "sample-interval": "0.5"})

@@ -15,6 +15,7 @@ from gwmc.dynamics import (
     batch_samples,
     deterministic_step,
     jump_probabilities,
+    k_steps,
     run_ensemble,
     run_trajectory,
     trajectory_stream,
@@ -71,10 +72,12 @@ def reference_step(amps, geometry, p: ModelParams, dt: float, active=None) -> np
 
 def kernel_derivatives(amps: np.ndarray, geometry, p: ModelParams) -> np.ndarray:
     """The lean kernel's drift stage on a complex (n, 2) state."""
-    y = amps.view(np.float64).reshape(-1, 4).T
     kernel = _DriftKernel(geometry, p)
-    kernel._fit(y.shape[1])
-    return np.ascontiguousarray(kernel._stage(y, 0, None).T).view(np.complex128).reshape(amps.shape)
+    kernel._fit(amps.shape)
+    np.copyto(kernel._in, amps)
+    for f, args in kernel._stage_program(kernel._y, kernel._acc):
+        f(*args)
+    return np.ascontiguousarray(kernel._acc.T).view(np.complex128).reshape(amps.shape)
 
 
 KERNEL_LATTICES = [(1, 1), (2, 1), (2, 2), (3, 2), (4, 3), (5, 5), (6, 6)]  # degrees 0-4
@@ -250,6 +253,45 @@ class TestDriftKernel:
             new = deterministic_step(state, g, P_FERRO, 0.01, active=mask)
             old = reference_step(state, g, P_FERRO, 0.01, active=mask)
             assert np.abs(bloch_vectors(new) - bloch_vectors(old)).max() <= 1e-13
+
+    def test_one_fit_and_one_program_per_step_kind(self, monkeypatch):
+        # a trajectory with and without jumps makes its buffers once and
+        # compiles one step per (dt, masked or not)
+        kernels = []
+        fit = _DriftKernel._fit
+
+        def spy(kernel, shape):
+            kernels.append(kernel)
+            fit(kernel, shape)
+
+        monkeypatch.setattr(_DriftKernel, "_fit", spy)
+        traj = TrajectoryConfig(t_total=3.0, sample_interval=1.0, seed=3)
+        result = run_trajectory(build_lattice(4, 4), P_FERRO, traj, StepConfig(dt=0.01))
+        assert result.total_jumps > 0
+        assert len(kernels) == 1
+        assert sorted(kernels[0]._programs) == [(0.01, False), (0.01, True)]
+
+    def test_steps_do_not_alias(self, rng):
+        # the kernel's output buffer, overwritten by each call, never escapes
+        g = build_lattice(3, 3)
+        first = deterministic_step(random_product_state(rng, 9), g, P_FERRO, 0.01)
+        kept = first.copy()
+        second = deterministic_step(first, g, P_FERRO, 0.01)
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    def test_jump_free_index_array(self, rows):
+        # the dark state never jumps: its index array is read-only, shaped
+        # like np.argwhere's, and k_steps counts no jump from it
+        g = build_lattice(4, 4)
+        amps = down_state(16) if rows is None else np.broadcast_to(down_state(16), (rows, 16, 2)).copy()
+        rng = RngStream(1).generator()
+        _, jumped = advance(amps, g, P_FERRO, StepConfig(), rng)
+        assert jumped.shape == (0, amps.ndim - 1) and jumped.dtype == np.intp
+        assert not jumped.flags.writeable
+        advance_k = k_steps(lambda a: advance(a, g, P_FERRO, StepConfig(), rng), rows or 1)
+        assert advance_k(amps, 5)[1].tolist() == [0] * (rows or 1)
 
 
 class TestJumps:

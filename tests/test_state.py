@@ -99,6 +99,30 @@ class TestRenormalize:
         amps = 3.7 * random_product_state(rng, 50)
         assert np.allclose(norms(renormalize(amps)), 1.0, atol=1e-14)
 
+    def test_bits_of_the_complex_divide(self, rng):
+        # the rescale is the complex-by-real divide: multiplying the real
+        # parts by 1 / sqrt(norm2) instead keeps -0 where the divide gives +0
+        amps = rng.uniform(0.5, 2.0) * random_product_state(rng, 400).reshape(20, 20, 2)
+        parts = amps.view(np.float64).reshape(-1, 4)
+        zero = rng.random(parts.shape) < 0.3
+        zero[zero.all(axis=1)] = False  # keep every spinor's norm
+        parts[zero] = np.where(rng.random(parts.shape) < 0.5, 0.0, -0.0)[zero]
+        amps[0, 0] = (-0.0 + 0.5j, 0.5)
+        norm2 = (amps[..., 0].real**2 + amps[..., 0].imag**2) + (amps[..., 1].real**2 + amps[..., 1].imag**2)
+        out = renormalize(amps)
+        assert out.tobytes() == (amps / np.sqrt(norm2)[..., None]).tobytes()
+        assert not np.signbit(out[0, 0, 0].real)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0], ids=["nan", "inf", "-inf", "zero-norm"])
+    def test_non_finite_or_vanished_norm_raises(self, rng, bad):
+        amps = random_product_state(rng, 12).reshape(3, 4, 2)
+        if bad == 0.0:
+            amps[1, 2] = 0.0
+        else:
+            amps.view(np.float64)[1, 2, 3] = bad
+        with pytest.raises(NumericsError):
+            renormalize(amps)
+
 
 class TestDarkDetection:
     def test_down_is_dark(self):
