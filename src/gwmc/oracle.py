@@ -26,13 +26,12 @@ import numpy as np
 from .dynamics import (
     MAX_JUMP_PROB,
     ModelParams,
-    RowStreams,
     StepConfig,
     TrajectoryConfig,
     TrajectoryResult,
     TrajectoryStream,
     initial_product_state,
-    k_steps,
+    row_ensemble,
     run_ensemble,
     step_and_sample,
     whole_steps,
@@ -40,7 +39,7 @@ from .dynamics import (
 from .errors import ConfigError, NumericsError
 from .lattice import LatticeGeometry, bonds, build_lattice
 from .observables import Sample
-from .state import plus_x_state
+from .state import NORM2_FLOOR, NORM2_MAX, plus_x_state
 
 MAX_SITES = 10  # full-space state vectors and Hamiltonians
 MAX_DENSE_SITES = 5  # dense master equation: a 4^n x 4^n superoperator
@@ -285,8 +284,9 @@ class FullWfmc:
 
     def _renorm(self, psi: np.ndarray) -> np.ndarray:
         norm2 = (psi.real**2 + psi.imag**2).sum(axis=-1)
-        if np.any(norm2 < 1e-24):
-            raise NumericsError("state norm vanished in full-space trajectory")
+        # one min and one max, as in state.renormalize: a NaN fails both comparisons
+        if not (norm2.min() >= NORM2_FLOOR and norm2.max() <= NORM2_MAX):
+            raise NumericsError("state norm vanished or is not finite in full-space trajectory")
         return psi / np.sqrt(norm2)[..., None]
 
     def jump_probabilities(self, psi: np.ndarray, dt: float) -> np.ndarray:
@@ -315,20 +315,17 @@ class FullWfmc:
 
     def _path(self, traj: TrajectoryConfig, step: StepConfig, streams,
               totals: np.ndarray | None = None):
-        """:func:`gwmc.dynamics.step_and_sample` from the configured initial
+        """:func:`gwmc.dynamics.row_ensemble` from the configured initial
         product state, row k on Philox stream ``streams[k]``; each sample
         observes (bloch, pair_xx), of shapes (rows, n, 3) and (rows, n, n)."""
-        rng = RowStreams(traj.seed, streams)
-        rows = len(rng.generators)
-        psi = product_state_vector(initial_product_state(traj, self.n))
-        if rows > 1:  # a single row keeps no batch axis, as in batch_samples
-            psi = np.broadcast_to(psi, (rows,) + psi.shape).copy()
+        rows = len(streams)
 
         def observe(x):
             return [f(x, self.n).reshape(rows, self.n, -1) for f in (pauli_expectations, pair_xx_expectations)]
 
-        advance_k = k_steps(lambda x: self.advance(x, step, rng), rows)
-        return step_and_sample(psi, advance_k, observe, traj, step, rows, totals=totals)
+        psi = product_state_vector(initial_product_state(traj, self.n))
+        return row_ensemble(psi, lambda x, rng: self.advance(x, step, rng), observe, traj, step, streams,
+                            totals=totals)
 
 
 def full_wfmc_stream(geometry: LatticeGeometry, p: ModelParams, traj: TrajectoryConfig,

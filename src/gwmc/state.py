@@ -16,8 +16,8 @@ import numpy as np
 from .errors import ConfigError, NumericsError
 
 # squared-norm floor below which a spinor is considered numerically destroyed
-_NORM2_FLOOR = 1e-24
-_NORM2_MAX = np.finfo(np.float64).max  # above it the norm is infinite
+NORM2_FLOOR = 1e-24
+NORM2_MAX = np.finfo(np.float64).max  # above it the norm is infinite
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -77,7 +77,7 @@ def renormalize(amps: np.ndarray) -> np.ndarray:
     """
     norm2 = _abs2(amps[..., 0]) + _abs2(amps[..., 1])
     # one min and one max: a NaN fails both comparisons
-    if not (norm2.min() >= _NORM2_FLOOR and norm2.max() <= _NORM2_MAX):
+    if not (norm2.min() >= NORM2_FLOOR and norm2.max() <= NORM2_MAX):
         raise NumericsError("spinor norm vanished; reduce dt or inspect jump handling")
     return amps / np.sqrt(norm2)[..., None]
 
@@ -141,6 +141,6 @@ def load_state_csv(path) -> np.ndarray:
     # (re_up, im_up, re_down, im_down) rows are (n, 2) complex pairs in memory
     amps = parts.view(np.complex128)[np.argsort(sites)]
     norm2 = _abs2(amps).sum(axis=-1)
-    if not np.all(np.isfinite(norm2) & (norm2 >= _NORM2_FLOOR)):
+    if not np.all(np.isfinite(norm2) & (norm2 >= NORM2_FLOOR)):
         raise ConfigError(f"state snapshot {path} holds a spinor that is not finite or has no norm")
     return amps

@@ -16,6 +16,7 @@ from gwmc.cli import (COMMANDS, ENGINES, RunConfig, SweepConfig, _base_meta, _fm
                       parse_kv_file, run_sweep)
 from gwmc.dynamics import run_trajectory
 from gwmc.errors import ConfigError, NumericsError
+from gwmc.lattice import build_lattice
 from gwmc.observables import correlation_profile
 from gwmc.state import down_state, plus_x_state, save_state_csv
 
@@ -395,15 +396,25 @@ class TestStreaming:
         history = round(9 * t / 0.1) * 64 * 3 * 8
         assert grown < history / 4, (grown, history)
 
-    def test_no_drift_kernel_outlives_the_command(self, tmp_path):
-        # the drift kernel's buffers go when the run that built them ends: no
-        # array data allocated in dynamics.py stays live (numpy traces array
-        # data in its own domain, apart from the interpreter's free lists)
+    @pytest.mark.parametrize("call", ["deterministic_step", "advance", "correlate"])
+    def test_no_drift_kernel_outlives_the_command(self, tmp_path, call):
+        # the drift kernel's buffers go when the call or the run that built
+        # them ends: no array data allocated in dynamics.py stays live (numpy
+        # traces array data in its own domain, apart from the interpreter's
+        # free lists)
+        g = build_lattice(32, 32)
+        amps = plus_x_state(g.n_sites)
+        p = dynamics.ModelParams(0.9, 1.2, 1.0)
         args = _run_args(tmp_path, "k", width="8", height="8", **{"t-total": "3", "burn-in": "0"})
         arrays = tracemalloc.Filter(True, dynamics.__file__, domain=np.lib.tracemalloc_domain)
         tracemalloc.start()
         try:
-            assert main(["correlate", *args]) == 0
+            if call == "deterministic_step":
+                dynamics.deterministic_step(amps, g, p, 0.01)
+            elif call == "advance":
+                dynamics.advance(amps, g, p, dynamics.StepConfig(), dynamics.RngStream(1).generator())
+            else:
+                assert main(["correlate", *args]) == 0
             gc.collect()
             live = tracemalloc.take_snapshot().filter_traces([arrays])
         finally:

@@ -172,9 +172,10 @@ class TestLocalHamiltonian:
 class TestDeterministicStep:
     def test_dark_state_exactly_stationary(self):
         g = build_lattice(4, 4)
+        kernel = _DriftKernel(g, P_FERRO)
         amps = down_state(16)
         for _ in range(20):
-            amps = deterministic_step(amps, g, P_FERRO, 0.01)
+            amps = deterministic_step(amps, g, P_FERRO, 0.01, kernel=kernel)
         assert np.allclose(bloch_vectors(amps), [[0, 0, -1]] * 16, atol=1e-12)
 
     def test_unitary_isotropic_plus_x_stationary(self):
@@ -182,9 +183,10 @@ class TestDeterministicStep:
         # mean field, so the drift is a pure phase
         g = build_lattice(4, 4)
         p = ModelParams(0.7, 0.7, 0.7, gamma=0.0)
+        kernel = _DriftKernel(g, p)
         amps = plus_x_state(16)
         for _ in range(100):
-            amps = deterministic_step(amps, g, p, 0.01)
+            amps = deterministic_step(amps, g, p, 0.01, kernel=kernel)
         assert np.allclose(bloch_vectors(amps), [[1, 0, 0]] * 16, atol=1e-12)
 
     def test_single_site_no_jump_conditional(self):
@@ -192,10 +194,11 @@ class TestDeterministicStep:
         # renormalized, giving sx = sech(t/2), sz = -tanh(t/2)
         g = build_lattice(1, 1)
         p = ModelParams(0.0, 0.0, 0.0, gamma=1.0)
+        kernel = _DriftKernel(g, p)
         amps = plus_x_state(1)
         dt, t = 0.01, 1.0
         for _ in range(int(round(t / dt))):
-            amps = deterministic_step(amps, g, p, dt)
+            amps = deterministic_step(amps, g, p, dt, kernel=kernel)
         b = bloch_vectors(amps)[0]
         u = np.exp(-0.5 * t) / np.sqrt(2)
         d = 1 / np.sqrt(2)
@@ -280,6 +283,24 @@ class TestDriftKernel:
         assert not np.shares_memory(first, second)
         assert first.tobytes() == kept.tobytes()
 
+    @pytest.mark.parametrize("other", ["geometry", "couplings"])
+    def test_refuses_a_kernel_of_another_run(self, other):
+        # a kernel steps only the geometry and couplings it was built for, the
+        # same objects: other couplings, or even an equal copy of the
+        # geometry, are refused, not stepped with the kernel's own
+        g = build_lattice(3, 3)
+        kernel = _DriftKernel(g, P_FERRO)
+        if other == "geometry":
+            g = build_lattice(3, 3)
+            p = P_FERRO
+        else:
+            p = ModelParams(0.9, 2.5, 1.0)
+        amps = plus_x_state(9)
+        with pytest.raises(ValueError, match="drift kernel"):
+            deterministic_step(amps, g, p, 0.01, kernel=kernel)
+        with pytest.raises(ValueError, match="drift kernel"):
+            advance(amps, g, p, StepConfig(), RngStream(1).generator(), kernel)
+
     @pytest.mark.parametrize("rows", [None, 3])
     def test_jump_free_index_array(self, rows):
         # the dark state never jumps: its index array is read-only, shaped
@@ -333,9 +354,10 @@ class TestJumps:
     def test_advance_dark_state_fixed_point(self):
         g = build_lattice(4, 4)
         rng = RngStream(1).generator()
+        kernel = _DriftKernel(g, P_FERRO)
         amps = down_state(16)
         for _ in range(50):
-            amps, events = advance(amps, g, P_FERRO, StepConfig(), rng)
+            amps, events = advance(amps, g, P_FERRO, StepConfig(), rng, kernel)
             assert len(events) == 0
         assert np.allclose(bloch_vectors(amps), [[0, 0, -1]] * 16, atol=1e-12)
 
@@ -350,11 +372,12 @@ class TestJumps:
         p = ModelParams(0.0, 0.0, 0.0, gamma=1.0)
         step = StepConfig(dt=0.01)
         rng = RngStream(99).generator()
+        kernel = _DriftKernel(g, p)
         amps = np.zeros((1600, 2), complex)
         amps[:, 0] = 1.0
         n_steps, events = 200, 0
         for _ in range(n_steps):
-            amps, jumped = advance(amps, g, p, step, rng)
+            amps, jumped = advance(amps, g, p, step, rng, kernel)
             events += len(jumped)
             amps[:, 0], amps[:, 1] = 1.0, 0.0  # re-prepare
         trials = n_steps * 1600
@@ -372,6 +395,7 @@ class TestJumps:
         p = ModelParams(0.0, 0.0, 0.0, gamma=1.0)
         step = StepConfig(dt=0.002)
         rng = RngStream(4242).generator()
+        kernel = _DriftKernel(g, p)
         n = g.n_sites
         amps = np.zeros((n, 2), complex)
         amps[:, 0] = 1.0
@@ -380,7 +404,7 @@ class TestJumps:
         t = 0.0
         while remaining and t < 40.0:
             t += step.dt
-            amps, jumped = advance(amps, g, p, step, rng)
+            amps, jumped = advance(amps, g, p, step, rng, kernel)
             for (site,) in jumped:
                 waits[site] = t
                 remaining -= 1
@@ -401,8 +425,9 @@ class TestZ2Equivariance:
             seed = int(rng.integers(2**32))
             rng_a = RngStream(seed).generator()
             rng_b = RngStream(seed).generator()
-            out_a, ev_a = advance(amps_a, g, p, step, rng_a)
-            out_b, ev_b = advance(amps_b, g, p, step, rng_b)
+            kernel = _DriftKernel(g, p)
+            out_a, ev_a = advance(amps_a, g, p, step, rng_a, kernel)
+            out_b, ev_b = advance(amps_b, g, p, step, rng_b, kernel)
             assert np.array_equal(ev_a, ev_b)
             ba, bb = bloch_vectors(out_a), bloch_vectors(out_b)
             assert np.array_equal(bb[:, 0], -ba[:, 0])
@@ -433,9 +458,10 @@ class TestNormPreservation:
         g = build_lattice(4, 4)
         step = StepConfig()
         gen = RngStream(5).generator()
+        kernel = _DriftKernel(g, P_FERRO)
         for _ in range(100):
             amps = random_product_state(rng, 16)
-            out, _ = advance(amps, g, P_FERRO, step, gen)
+            out, _ = advance(amps, g, P_FERRO, step, gen, kernel)
             norm2 = np.abs(out[:, 0]) ** 2 + np.abs(out[:, 1]) ** 2
             assert np.abs(norm2 - 1.0).max() < 1e-10
 

@@ -382,6 +382,16 @@ class TestFullWfmc:
         assert np.allclose(bloch[0], [0, 0, -1], atol=1e-12)
         assert np.allclose(bloch[1], [1, 0, 0], atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_renormalization_refuses_a_non_finite_row(self, bad):
+        # the norm check is state.renormalize's: one row of a batch holding
+        # a NaN or an infinite amplitude stops the step
+        engine = FullWfmc(build_lattice(2, 1), P_FERRO)
+        psi = np.broadcast_to(product_state_vector(plus_x_state(2)), (3, 4)).copy()
+        psi[1, 2] = bad
+        with pytest.raises(NumericsError):
+            engine._renorm(psi)
+
     def test_ensemble_matches_master_equation(self):
         # compact version of the unraveling-exactness acceptance criterion
         g = build_lattice(2, 1)
