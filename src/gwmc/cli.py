@@ -24,8 +24,8 @@ from .dynamics import (
     StepConfig,
     TrajectoryConfig,
     batch_samples,
+    cadence,
     trajectory_stream,
-    whole_steps,
 )
 from .errors import ConfigError, InsufficientDataError, NumericsError
 from .lattice import build_lattice
@@ -41,7 +41,6 @@ from .oracle import (_GEOMETRY_FOR_SITES, MAX_DENSE_SITES, MAX_SITES, DenseLindb
                      full_wfmc_stream, oracle_report)
 
 ENGINES = ("gutzwiller", "fullwfmc", "exact")
-WORKERS_ENV = "GWMC_WORKERS"  # read by sweep only
 
 
 def _fmt(x) -> str:
@@ -69,16 +68,16 @@ class RunConfig:
     seed: int = 1
     initial_state: str = "plus_x"
     engine: str = "gutzwiller"
-    workers: int = 0  # sweep pool size; 0: GWMC_WORKERS, then 1
+    workers: int = 1  # sweep pool size
     out: str = "gwmc"
 
     def __post_init__(self):
         for f in fields(self):
             if f.type in (float, "float") and not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if self.dt > 0:  # StepConfig refuses the rest
-            for span in (self.t_total, self.sample_interval):
-                whole_steps(span, self.dt)
+        # the seed and the sampling cadence, refused before any work; burn_in
+        # is checked by the commands that read it
+        cadence(TrajectoryConfig(self.t_total, sample_interval=self.sample_interval, seed=self.seed), self.step())
         if self.width < 1 or self.height < 1:
             raise ConfigError(f"lattice dimensions must be positive, got {self.width}x{self.height}")
         if self.engine not in ENGINES:
@@ -221,8 +220,6 @@ class SweepConfig:
             raise ConfigError("sweep needs a non-empty value list")
         if self.trajectories < 1:
             raise ConfigError("trajectories must be positive")
-        if self.base.workers == 0:
-            self.base = replace(self.base, workers=_convert(WORKERS_ENV, int, os.environ.get(WORKERS_ENV, "1")))
         if self.base.workers < 1:
             raise ConfigError(f"workers must be positive, got {self.base.workers}")
         if self.base.engine != "gutzwiller":

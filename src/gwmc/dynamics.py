@@ -17,11 +17,13 @@ probability gamma * dt * |amp_up|^2, drawn in fixed site order.
 All state-level functions accept leading batch dimensions, so m
 trajectories on one lattice are advanced as one (m, n_sites, 2) array by
 :func:`batch_samples`, each row drawing from its own counter-based stream
-(:class:`RowStreams`). :func:`step_and_sample` is the one step-and-sample
+(:class:`RowStreams`). :class:`SamplePath` is the one step-and-sample
 loop, for this engine and for the exact references in :mod:`gwmc.oracle`,
-and :func:`row_ensemble` the one set-up of its trajectory rows.
-One trajectory is a :class:`TrajectoryStream` of Samples, which consumers
-reduce as they arrive; :func:`run_trajectory` collects it.
+and keeps its run's record: each row's jump total and trap time.
+:func:`row_ensemble` is the one set-up of its trajectory rows. One
+trajectory is a :class:`TrajectoryStream`, a view of row 0 of its path as
+Samples, which consumers reduce as they arrive; :func:`run_trajectory`
+collects it.
 """
 
 from __future__ import annotations
@@ -90,12 +92,14 @@ class TrajectoryConfig:
     initial_state: str = "plus_x"  # plus_x | minus_x | path to a state snapshot CSV
 
     def __post_init__(self):
-        if not np.isfinite(self.t_total):
-            raise ConfigError(f"t_total must be finite, got {self.t_total}")
+        if not (np.isfinite(self.t_total) and self.t_total > 0):
+            raise ConfigError(f"t_total must be positive and finite, got {self.t_total}")
         if not 0.0 <= self.burn_in < self.t_total:
             raise ConfigError(f"burn_in must satisfy 0 <= burn_in < t_total, got {self.burn_in}")
         if not self.sample_interval > 0:
             raise ConfigError("sample_interval must be positive")
+        if not 0 <= self.seed < 2**64:  # the Philox key word
+            raise ConfigError(f"seed must lie in [0, 2^64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -388,29 +392,24 @@ class TrajectoryResult:
 
 class TrajectoryStream:
     """One trajectory's Samples, taken as it is iterated (once) and kept
-    nowhere: ``sample(t, observation, jumps)`` makes each from a row of the
-    one-row :func:`step_and_sample` ``path`` of (traj, step), which fills
-    ``totals``. Its length is known before; once it is exhausted,
-    ``total_jumps`` is final, and with ``trap`` so is ``trapped_at``, the
-    time of the first all-down sample."""
+    nowhere: ``sample(t, observation, jumps)`` makes each from row 0 of the
+    one-row :class:`SamplePath` ``path``. Its length is the path's; once it
+    is exhausted, it finishes the path, and ``total_jumps`` and
+    ``trapped_at`` are final."""
 
-    def __init__(self, traj, step, path, totals: np.ndarray, sample, trap: bool = False):
-        self._cadence = traj, step
-        self._path, self._totals, self._sample, self._trap = path, totals, sample, trap
+    def __init__(self, path: SamplePath, sample):
+        self._path, self._sample = path, sample
         self.trapped_at: float | None = None
         self.total_jumps = 0
 
     def __len__(self) -> int:
-        spp, n_steps = cadence(*self._cadence)
-        return n_steps // spp + 1
+        return len(self._path)
 
     def __iter__(self):
         for t, observation, jumps in self._path:
-            s = self._sample(t, observation, int(jumps[0]))
-            if self._trap and self.trapped_at is None and is_dark(s.bloch):
-                self.trapped_at = t
-            yield s
-        self.total_jumps = int(self._totals[0])
+            yield self._sample(t, observation, int(jumps[0]))
+        self.total_jumps = int(self._path.finish()[0])
+        self.trapped_at = self._path.trapped_at[0]
 
 
 def k_steps(advance_once, rows: int):
@@ -430,9 +429,9 @@ def k_steps(advance_once, rows: int):
 
 
 def whole_steps(duration: float, dt: float) -> int:
-    """duration / dt rounded to whole steps, as :func:`step_and_sample`
-    counts time. Refuses a count that is not finite: a non-finite duration,
-    or a dt so small against it that the count overflows."""
+    """duration / dt rounded to whole steps. Refuses a count that is not
+    finite: a non-finite duration, or a dt so small against it that the
+    count overflows."""
     count = duration / dt
     if not math.isfinite(count):
         raise ConfigError(f"{duration:g} / dt at dt = {dt:g} is not a finite step count")
@@ -440,56 +439,84 @@ def whole_steps(duration: float, dt: float) -> int:
 
 
 def cadence(traj: TrajectoryConfig, step: StepConfig) -> tuple[int, int]:
-    """(steps per sample, steps in all) of :func:`step_and_sample`."""
+    """(steps per sample, steps in all) of a :class:`SamplePath`. Refuses a
+    sample_interval below dt, and a sample_interval or t_total that is not a
+    whole number of steps (to a relative 1e-9)."""
     if traj.sample_interval < step.dt:
         raise ConfigError("sample_interval must be at least dt")
+    for name in ("sample_interval", "t_total"):
+        span = getattr(traj, name)
+        if not math.isclose(span / step.dt, whole_steps(span, step.dt), rel_tol=1e-9):
+            raise ConfigError(f"{name} = {span:g} is not a whole number of steps of dt = {step.dt:g}")
     return whole_steps(traj.sample_interval, step.dt), whole_steps(traj.t_total, step.dt)
 
 
-def step_and_sample(state, advance, observe, traj: TrajectoryConfig, step: StepConfig,
-                    rows: int = 1, trap: bool = False, totals: np.ndarray | None = None):
-    """The one step-and-sample loop, shared by all three engines.
+class SamplePath:
+    """The one step-and-sample loop of all three engines, and its run's record.
 
     ``advance(state, k)`` takes k time steps and returns (new state, (rows,)
-    jump counts); ``observe(state)`` gives what a sample records. Yields
-    (t, observation, jumps since the previous sample) at t = 0 and every
-    sample_interval, rounded to whole steps.
+    jump counts); ``observe(state)`` gives what a sample records. Iterating
+    yields ``len()`` tuples (t, observation, jumps since the previous
+    sample) at t = 0 and every sample_interval (:func:`cadence`).
 
     With ``trap`` the observation is the manifold engine's (rows, n_sites, 3)
     Bloch array, and a row whose sample is the all-down dark state is
     trapped: the dark state is exact, so its Bloch vectors freeze at that
-    sample and its later jumps are not counted; once every row is trapped,
-    stepping stops. ``totals``, if given, receives each row's jump count
-    over the whole horizon; only then are the steps after the last sample
-    taken.
+    sample, ``trapped_at[row]``, and its later jumps are not counted; once
+    every row is trapped, stepping stops. The path keeps the state, the
+    steps taken ``n`` and each row's ``total_jumps``; only :meth:`finish`
+    takes the steps after the last sample.
     """
-    spp, n_steps = cadence(traj, step)
-    obs = observe(state)
-    trapped = np.zeros(rows, dtype=bool)
-    total = np.zeros(rows, dtype=np.int64)
-    yield 0.0, obs, np.zeros(rows, dtype=np.int64)
-    for n in range(spp, n_steps + 1, spp):
-        since = np.zeros(rows, dtype=np.int64)
-        if not trapped.all():
-            state, since = advance(state, spp)
-            since[trapped] = 0
-        fresh = observe(state)
-        if trap:
-            fresh[trapped] = obs[trapped]
-            trapped |= is_dark(fresh)
-        obs = fresh
-        yield n * step.dt, obs, since
-        total += since
-    if totals is not None:
-        if not trapped.all():
-            _, since = advance(state, n_steps % spp)
-            total += since * ~trapped
-        totals[:] = total
+
+    def __init__(self, state, advance, observe, traj: TrajectoryConfig, step: StepConfig,
+                 rows: int = 1, trap: bool = False):
+        self.spp, self.n_steps = cadence(traj, step)
+        self.dt = step.dt
+        self.state, self._advance, self._observe, self._trap = state, advance, observe, trap
+        self.n = 0
+        self.trapped = np.zeros(rows, dtype=bool)
+        self.trapped_at: list[float | None] = [None] * rows
+        self.total_jumps = np.zeros(rows, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return self.n_steps // self.spp + 1
+
+    def __iter__(self):
+        obs = self._observe(self.state)
+        yield 0.0, obs, np.zeros_like(self.total_jumps)
+        while self.n + self.spp <= self.n_steps:
+            since = np.zeros_like(self.total_jumps)
+            if not self.trapped.all():
+                self.state, since = self._advance(self.state, self.spp)
+                since[self.trapped] = 0
+            self.n += self.spp
+            t = self.n * self.dt
+            fresh = self._observe(self.state)
+            if self._trap:
+                fresh[self.trapped] = obs[self.trapped]
+                dark = is_dark(fresh) & ~self.trapped
+                for k in np.flatnonzero(dark):
+                    self.trapped_at[k] = t
+                self.trapped |= dark
+            obs = fresh
+            self.total_jumps += since
+            yield t, obs, since
+
+    def finish(self) -> np.ndarray:
+        """Take the steps after the last sample; returns each row's jump
+        count over the whole horizon. Only for an exhausted path."""
+        if self.n + self.spp <= self.n_steps:
+            raise RuntimeError("finish() on a path with samples left")
+        if not self.trapped.all():
+            self.state, since = self._advance(self.state, self.n_steps - self.n)
+            self.total_jumps += since * ~self.trapped
+        self.n = self.n_steps
+        return self.total_jumps
 
 
 def row_ensemble(state, advance_once, observe, traj: TrajectoryConfig, step: StepConfig, streams,
-                 trap: bool = False, totals: np.ndarray | None = None):
-    """:func:`step_and_sample` on one batch row of ``state`` per entry of
+                 trap: bool = False) -> SamplePath:
+    """The :class:`SamplePath` of one batch row of ``state`` per entry of
     ``streams``, for every trajectory engine: row k draws from the Philox
     stream ``streams[k]`` of the seed, so it replays alone.
     ``advance_once(state, rng)`` takes one step as :func:`advance` does."""
@@ -498,7 +525,7 @@ def row_ensemble(state, advance_once, observe, traj: TrajectoryConfig, step: Ste
     if rows > 1:  # a single row keeps no batch axis: small 2-d arrays step 3-5 % faster
         state = np.broadcast_to(state, (rows,) + state.shape).copy()
     advance_k = k_steps(lambda x: advance_once(x, rng), rows)
-    return step_and_sample(state, advance_k, observe, traj, step, rows, trap=trap, totals=totals)
+    return SamplePath(state, advance_k, observe, traj, step, rows, trap=trap)
 
 
 def batch_samples(
@@ -507,12 +534,11 @@ def batch_samples(
     traj: TrajectoryConfig,
     step: StepConfig,
     streams,
-    totals: np.ndarray | None = None,
-):
-    """Advance one batch row per entry of ``params`` from the configured
-    initial state through :func:`row_ensemble` with the dark-state trap;
-    yields (t, bloch, jumps) with bloch of shape (m, n_sites, 3) and jumps
-    the (m,) jump counts since the previous sample.
+) -> SamplePath:
+    """The :func:`row_ensemble` path of one batch row per entry of
+    ``params`` from the configured initial state, with the dark-state trap;
+    it yields (t, bloch, jumps) with bloch of shape (m, n_sites, 3) and
+    jumps the (m,) jump counts since the previous sample.
 
     Row k draws from the Philox stream ``streams[k]`` of the seed, so it is
     bit-identical to ``run_trajectory(..., stream=streams[k])``. The run
@@ -527,19 +553,17 @@ def batch_samples(
 
     amps = initial_product_state(traj, geometry.n_sites)
     return row_ensemble(amps, lambda a, rng: advance(a, geometry, p, step, rng, kernel), observe,
-                        traj, step, streams, trap=True, totals=totals)
+                        traj, step, streams, trap=True)
 
 
 def trajectory_stream(geometry: LatticeGeometry, p: ModelParams, traj: TrajectoryConfig,
                       step: StepConfig = StepConfig(), stream: int = 0) -> TrajectoryStream:
     """The samples of :func:`run_trajectory`, as they are taken."""
-    totals = np.zeros(1, dtype=np.int64)
 
     def sample(t, bloch, jumps):
         return Sample(t, bloch[0], burn_in=t < traj.burn_in, jumps_in_interval=jumps)
 
-    path = batch_samples(geometry, [p], traj, step, [stream], totals)
-    return TrajectoryStream(traj, step, path, totals, sample, trap=True)
+    return TrajectoryStream(batch_samples(geometry, [p], traj, step, [stream]), sample)
 
 
 def run_trajectory(

@@ -163,14 +163,11 @@ class Accumulator:
     Scalars use the Welford update; ``combine`` uses the pooled (parallel)
     update, so splitting a stream at any point and merging the parts
     reproduces the unsplit result up to floating rounding, and the merged
-    mean is exactly the pooled mean. Per-distance-class correlation sums
-    merge by addition.
+    mean is exactly the pooled mean.
     """
 
-    def __init__(self, n_classes: int = 0):
+    def __init__(self):
         self._scalars: dict[str, list[float]] = {}
-        self.class_sums = np.zeros(n_classes)
-        self.class_count = 0
 
     def add(self, name: str, value: float) -> None:
         n, mean, m2 = self._scalars.setdefault(name, [0, 0.0, 0.0])
@@ -179,12 +176,6 @@ class Accumulator:
         mean += delta / n
         m2 += delta * (value - mean)
         self._scalars[name][:] = [n, mean, m2]
-
-    def add_class_row(self, values: np.ndarray) -> None:
-        if self.class_sums.size == 0:
-            self.class_sums = np.zeros(len(values))
-        self.class_sums += values
-        self.class_count += 1
 
     def count(self, name: str) -> int:
         return self._scalars.get(name, [0, 0.0, 0.0])[0]
@@ -201,11 +192,6 @@ class Accumulator:
             raise InsufficientDataError(f"need 2 samples for a variance of {name!r}")
         return m2 / (n - 1)
 
-    def class_mean(self) -> np.ndarray:
-        if self.class_count == 0:
-            raise InsufficientDataError("no correlation rows accumulated")
-        return self.class_sums / self.class_count
-
     def combine(self, other: "Accumulator") -> "Accumulator":
         out = Accumulator()
         names = set(self._scalars) | set(other._scalars)
@@ -219,11 +205,6 @@ class Accumulator:
             delta = mb - ma
             m2 = m2a + m2b + delta * delta * na * nb / n
             out._scalars[name] = [n, mean, m2]
-        if self.class_sums.size or other.class_sums.size:
-            a = self.class_sums if self.class_sums.size else np.zeros_like(other.class_sums)
-            b = other.class_sums if other.class_sums.size else np.zeros_like(self.class_sums)
-            out.class_sums = a + b
-            out.class_count = self.class_count + other.class_count
         return out
 
 

@@ -26,6 +26,7 @@ import numpy as np
 from .dynamics import (
     MAX_JUMP_PROB,
     ModelParams,
+    SamplePath,
     StepConfig,
     TrajectoryConfig,
     TrajectoryResult,
@@ -33,7 +34,6 @@ from .dynamics import (
     initial_product_state,
     row_ensemble,
     run_ensemble,
-    step_and_sample,
     whole_steps,
 )
 from .errors import ConfigError, NumericsError
@@ -251,7 +251,7 @@ class DenseLindblad:
             return self.integrate(rho, k * step.dt, dt=step.dt), np.zeros(1, dtype=np.int64)
 
         rho0 = product_density(initial_product_state(traj, self.n))
-        for t, rho, _ in step_and_sample(rho0, advance, lambda rho: rho, traj, step):
+        for t, rho, _ in SamplePath(rho0, advance, lambda rho: rho, traj, step):
             sxx = float(structure_factor_from_pairs(self.pair_xx(rho))) if self.n > 1 else 0.0
             yield Sample(t, self.site_bloch(rho), burn_in=t < traj.burn_in, sxx_inst=sxx)
 
@@ -313,8 +313,7 @@ class FullWfmc:
                     psi[rows] = self.apply_jump(psi[rows], site)
         return self._renorm(self._drift(psi, step.dt)), np.argwhere(jumped)
 
-    def _path(self, traj: TrajectoryConfig, step: StepConfig, streams,
-              totals: np.ndarray | None = None):
+    def _path(self, traj: TrajectoryConfig, step: StepConfig, streams) -> SamplePath:
         """:func:`gwmc.dynamics.row_ensemble` from the configured initial
         product state, row k on Philox stream ``streams[k]``; each sample
         observes (bloch, pair_xx), of shapes (rows, n, 3) and (rows, n, n)."""
@@ -324,22 +323,20 @@ class FullWfmc:
             return [f(x, self.n).reshape(rows, self.n, -1) for f in (pauli_expectations, pair_xx_expectations)]
 
         psi = product_state_vector(initial_product_state(traj, self.n))
-        return row_ensemble(psi, lambda x, rng: self.advance(x, step, rng), observe, traj, step, streams,
-                            totals=totals)
+        return row_ensemble(psi, lambda x, rng: self.advance(x, step, rng), observe, traj, step, streams)
 
 
 def full_wfmc_stream(geometry: LatticeGeometry, p: ModelParams, traj: TrajectoryConfig,
                      step: StepConfig = StepConfig(), stream: int = 0) -> TrajectoryStream:
     """The samples of :func:`full_wfmc_trajectory`, as they are taken."""
     engine = FullWfmc(geometry, p)
-    totals = np.zeros(1, dtype=np.int64)
 
     def sample(t, observed, jumps):
         bloch, xx = observed
         sxx = float(structure_factor_from_pairs(xx[0])) if engine.n > 1 else 0.0
         return Sample(t, bloch[0], burn_in=t < traj.burn_in, jumps_in_interval=jumps, sxx_inst=sxx)
 
-    return TrajectoryStream(traj, step, engine._path(traj, step, [stream], totals), totals, sample)
+    return TrajectoryStream(engine._path(traj, step, [stream]), sample)
 
 
 def full_wfmc_trajectory(

@@ -152,6 +152,28 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv,reason", [
+        (["run", "--seed", "-1"], "seed"),
+        (["run", "--seed", str(2**64)], "seed"),
+        (["correlate", "--seed", "-1"], "seed"),
+        (["sweep", "--seed", "-1", "--values", "1.2"], "seed"),
+        (["oracle-check", "--seed", "-1"], "seed"),
+        (["run", "--t-total", "0.105", "--sample-interval", "0.015"], "whole number"),
+        (["run", "--sample-interval", "0.015"], "whole number"),
+        (["correlate", "--t-total", "2.005"], "whole number"),
+        (["sweep", "--t-total", "2.005", "--values", "1.2"], "whole number"),
+        (["oracle-check", "--dt", "0.03"], "whole number"),
+        (["oracle-check", "--t-total", "2.005"], "whole number"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_seed_or_span_refused_before_work(self, tmp_path, capsys, monkeypatch, argv, reason):
+        # a seed outside the Philox key (-1 and 2^64 - 1 would share a stream)
+        # and a span off the dt grid exit 1 and write nothing
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and reason in captured.err and captured.out == ""
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("line", ["width = 2.5", "seed = one", "jy = strong"])
     def test_malformed_config_file_value(self, tmp_path, capsys, line):
         config = tmp_path / "cfg.txt"
@@ -164,8 +186,9 @@ class TestRunCommand:
     @pytest.mark.parametrize("engine", ["gutzwiller", "fullwfmc"])
     def test_step_above_max_jump_prob_exit_code(self, tmp_path, capsys, engine):
         # first-order jump sampling needs gamma * dt <= 0.05
+        # (on the step grid of dt = 0.06, which refuses a span off it first)
         args = _run_args(tmp_path, "dt", engine=engine, width="2", height="1", dt="0.06",
-                         **{"t-total": "2", "burn-in": "0.5"})
+                         **{"t-total": "2.4", "burn-in": "0.5", "sample-interval": "0.6"})
         assert main(["run", *args]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "exceeds max_jump_prob = 0.05" in err
@@ -309,13 +332,6 @@ class TestSweepCommand:
             ]
             assert main(["sweep", *args]) == 0
         assert _read(tmp_path / "ref_sweep.csv") == _read(tmp_path / "w_sweep.csv")
-
-    def test_malformed_workers_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("GWMC_WORKERS", "two")
-        args = _run_args(tmp_path, "w", width="2", height="2", **{"t-total": "2", "burn-in": "0.5"})
-        assert main(["sweep", *args, "--values", "1.2"]) == 1
-        assert capsys.readouterr().err.startswith("error: GWMC_WORKERS")
-        assert not list(tmp_path.iterdir())
 
     def test_meta_roundtrip(self, tmp_path):
         args = _run_args(tmp_path, "sm") + ["--values", "1.2,1.5", "--trajectories", "1"]
@@ -545,11 +561,12 @@ class TestMetaFiles:
         csv = self.OUTPUTS[command]
         assert _read(tmp_path / f"a_{csv}.csv") == _read(tmp_path / f"b_{csv}.csv")
 
-    @pytest.mark.parametrize("command", ["run", "mf-curve"])
-    def test_workers_env_read_by_sweep_only(self, tmp_path, monkeypatch, command):
+    @pytest.mark.parametrize("command", COMMAND_ARGS)
+    def test_workers_env_ignored(self, tmp_path, monkeypatch, command):
+        # only the flag and --config set sweep's workers, which default to 1
         monkeypatch.setenv("GWMC_WORKERS", "two")
         assert main([command, *self._args(tmp_path, command, "w"), *self.COMMAND_ARGS[command]]) == 0
-        assert "workers" not in parse_kv_file(tmp_path / "w_meta.txt")
+        assert parse_kv_file(tmp_path / "w_meta.txt").get("workers") == ("1" if command == "sweep" else None)
 
 
 class TestOracleCheckCommand:

@@ -9,6 +9,7 @@ from gwmc.dynamics import (
     _DriftKernel,
     _stack_params,
     RngStream,
+    SamplePath,
     StepConfig,
     TrajectoryConfig,
     advance,
@@ -525,6 +526,19 @@ class TestRunTrajectory:
         with pytest.raises(ConfigError):
             run_trajectory(g, P_FERRO, TrajectoryConfig(t_total=5.0, sample_interval=0.001), StepConfig(dt=0.01))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_philox_key_refused(self, seed):
+        # -1 and 2^64 - 1 would key the same stream
+        TrajectoryConfig(t_total=1.0, seed=2**64 - 1)
+        with pytest.raises(ConfigError, match="seed"):
+            TrajectoryConfig(t_total=1.0, seed=seed)
+
+    @pytest.mark.parametrize("t_total,interval,dt", [(0.105, 0.01, 0.01), (1.0, 0.015, 0.01), (10.0, 1.0, 0.03)])
+    def test_span_off_the_step_grid_refused(self, t_total, interval, dt):
+        traj = TrajectoryConfig(t_total=t_total, sample_interval=interval)
+        with pytest.raises(ConfigError, match="whole number of steps"):
+            trajectory_stream(build_lattice(2, 2), P_FERRO, traj, StepConfig(dt=dt))
+
     @pytest.mark.parametrize("t_total,interval,dt", [(10.0, 1.0, 0.01), (1.05, 0.1, 0.01), (2.0, 0.3, 0.01),
                                                      (1.0, 0.02, 0.02), (0.5, 0.5, 0.01), (3.0, 0.7, 0.05)])
     def test_stream_knows_its_length(self, t_total, interval, dt):
@@ -542,6 +556,36 @@ class TestRngStream:
         assert RngStream(seed, stream).generator().random(1000).tobytes() == want.tobytes()
 
 
+class TestSamplePath:
+    @staticmethod
+    def _path(taken: list, t_total: float):
+        # two rows, one jump per row and step; the state counts the steps
+        def advance(state, k):
+            taken.append(k)
+            return state + k, np.full(2, k, dtype=np.int64)
+
+        traj = TrajectoryConfig(t_total=t_total, sample_interval=0.5)
+        return SamplePath(0, advance, lambda state: state, traj, StepConfig(dt=0.1), rows=2)
+
+    def test_finish_takes_only_the_steps_after_the_last_sample(self):
+        # 23 steps sampled every 5: the last sample is at step 20
+        taken = []
+        path = self._path(taken, 2.3)
+        samples = list(path)
+        assert len(path) == len(samples) == 5
+        assert [state for _, state, _ in samples] == [0, 5, 10, 15, 20]
+        assert [jumps.tolist() for _, _, jumps in samples] == [[0, 0]] + [[5, 5]] * 4
+        assert sum(taken) == 20
+        assert path.finish().tolist() == [23, 23]
+        assert taken[-1] == 23 % 5 and sum(taken) == 23 and path.state == 23
+
+    def test_finish_refuses_a_path_with_samples_left(self):
+        path = self._path([], 2.3)
+        next(iter(path))
+        with pytest.raises(RuntimeError):
+            path.finish()
+
+
 class TestBatchSamples:
     def test_row_streams_match_solo_trajectories(self):
         # rows with mixed Jy, each on its own Philox stream: row k must equal
@@ -552,8 +596,9 @@ class TestBatchSamples:
         step = StepConfig(dt=0.05)
         traj = TrajectoryConfig(t_total=60.5, burn_in=0.0, sample_interval=1.0, seed=8)
         params = [ModelParams(0.9, jy, 1.0) for jy in (0.9, 1.2, 2.5)]
-        totals = np.zeros(len(params), dtype=np.int64)
-        batch = list(batch_samples(g, params, traj, step, range(len(params)), totals))
+        path = batch_samples(g, params, traj, step, range(len(params)))
+        batch = list(path)
+        totals = path.finish()
         solos = [run_trajectory(g, p, traj, step, stream=k) for k, p in enumerate(params)]
         for k, solo in enumerate(solos):
             assert len(solo.samples) == len(batch)
@@ -563,7 +608,7 @@ class TestBatchSamples:
                 assert sample.jumps_in_interval == jumps[k]
             assert solo.total_jumps == totals[k]
             trapped = [t for t, bloch, _ in batch if is_dark(bloch[k])]
-            assert solo.trapped_at == (trapped[0] if trapped else None)
+            assert solo.trapped_at == (trapped[0] if trapped else None) == path.trapped_at[k]
         # the case covers a trapped row, a jumping row and jumps in the tail
         assert solos[0].trapped_at is not None and solos[2].trapped_at is None
         assert solos[2].total_jumps > 0
@@ -620,9 +665,9 @@ class TestEnsemble:
         traj = TrajectoryConfig(t_total=61.9, sample_interval=2.0, seed=9)
         n, first = 4, 5
         times, blochs = run_ensemble(g, p, traj, step, n_traj=n, stream=first)
-        totals = np.zeros(n, dtype=np.int64)
-        rows = batch_samples(g, [p] * n, traj, step, range(first, first + n), totals)
+        rows = batch_samples(g, [p] * n, traj, step, range(first, first + n))
         jumps = np.array([j for _, _, j in rows])
+        totals = rows.finish()
         trapped = 0
         for k in range(n):
             solo = run_trajectory(g, p, traj, step, stream=first + k)

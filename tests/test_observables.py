@@ -248,15 +248,6 @@ class TestAccumulator:
             assert left.mean("x") == pytest.approx(right.mean("x"), abs=1e-13)
             assert left.variance("x") == pytest.approx(right.variance("x"), rel=1e-10)
 
-    def test_class_sums_merge(self, rng):
-        rows = rng.uniform(-1, 1, size=(10, 5))
-        whole, a, b = Accumulator(), Accumulator(), Accumulator()
-        for i, row in enumerate(rows):
-            whole.add_class_row(row)
-            (a if i < 4 else b).add_class_row(row)
-        merged = a.combine(b)
-        assert np.allclose(merged.class_mean(), whole.class_mean(), atol=1e-14)
-
 
 class TestMeanFieldClosedForm:
     def test_ferromagnetic_value(self):

@@ -33,7 +33,7 @@ SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 # -- reference loops ----------------------------------------------------------
 # One step-and-sample loop per oracle engine, each with its own cadence
-# arithmetic; the engines on the shared driver (gwmc.dynamics.step_and_sample)
+# arithmetic; the engines on the shared driver (gwmc.dynamics.SamplePath)
 # must match them bit for bit. They advance with the engine's own stepping
 # (FullWfmc._drift, DenseLindblad.integrate), so they check the cadence; the
 # stepping itself is checked against the RK4 stage sum in TestPropagator.
@@ -413,7 +413,7 @@ class TestFullWfmc:
 
 
 class TestSharedDriver:
-    """The oracle engines on gwmc.dynamics.step_and_sample against their
+    """The oracle engines on gwmc.dynamics.SamplePath against their
     former loops, bit for bit."""
 
     def test_full_trajectory_matches_reference(self):
@@ -442,9 +442,9 @@ class TestSharedDriver:
         traj = TrajectoryConfig(t_total=10.3, sample_interval=1.0, seed=5)
         n, first = 6, 3
         times, blochs, pairs = full_wfmc_ensemble(g, P_FERRO, traj, StepConfig(), n_traj=n, stream=first)
-        totals = np.zeros(n, dtype=np.int64)
-        path = FullWfmc(g, P_FERRO)._path(traj, StepConfig(), range(first, first + n), totals)
+        path = FullWfmc(g, P_FERRO)._path(traj, StepConfig(), range(first, first + n))
         jumps = np.array([j for _, _, j in path])
+        totals = path.finish()
         for k in range(n):
             solo = full_wfmc_trajectory(g, P_FERRO, traj, StepConfig(), stream=first + k)
             assert [s.time for s in solo.samples] == times.tolist()

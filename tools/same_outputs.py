@@ -8,9 +8,12 @@ each tree's ``src`` on PYTHONPATH, each run in a fresh temporary directory.
 The list is the four benchmark workloads (``perfbench/run.py``), the
 ``sweep-jy`` workload again at one worker, a 4x4 run at Jy = 1.0 that traps
 in the dark state, ``run --engine fullwfmc`` and ``--engine exact`` on 2x1,
-and ``oracle-check`` on 1, 2 and 4 sites. Compares the exit code, stdout
-and every file written; names each command line that differs and exits 1
-if any does, or if a command fails in both trees.
+``oracle-check`` on 1, 2 and 4 sites, and three lines at Jy = 1.8 whose
+t_total of 20.5 ends half a sample interval after the last sample: ``run``
+on 4x4 and ``run --engine fullwfmc`` on 2x1, whose metas count the jumps
+of those steps, and ``sweep`` on 4x4, which takes none of them. Compares
+the exit code, stdout and every file written; names each command line that
+differs and exits 1 if any does, or if a command fails in both trees.
 """
 
 from __future__ import annotations
@@ -40,6 +43,12 @@ def command_lines(seed: int):
                "--t-total", "20", "--burn-in", "2", *tail]
     for sites in ("1", "2", "4"):
         yield ["oracle-check", "--sites", sites, "--jy", "1.2", "--t-total", "5", "--trajectories", "1000", *tail]
+    # off the sampling cadence: 50 steps after the last sample; at Jy = 1.8
+    # the 2x1 full-space run still jumps in them at seeds 1 and 41
+    off = ["--jy", "1.8", "--t-total", "20.5", "--burn-in", "2", *tail]
+    yield ["run", "--width", "4", "--height", "4", *off]
+    yield ["run", "--engine", "fullwfmc", "--width", "2", "--height", "1", *off]
+    yield ["sweep", "--width", "4", "--height", "4", "--values", "1.0,1.2", "--trajectories", "2", *off]
 
 
 def outputs(tree: Path, argv: list[str]) -> dict[str, bytes]:
