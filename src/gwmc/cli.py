@@ -145,40 +145,44 @@ def parse_kv_file(path) -> dict[str, str]:
     return out
 
 
-def write_meta(path, mapping: dict[str, str]) -> None:
-    with open(path, "w") as fh:
-        for key, value in mapping.items():
-            fh.write(f"{key} = {value}\n")
-
-
 def _base_meta(cfg: RunConfig, command: str, **own) -> dict[str, str]:
     """The command and each key it read, so the file works as --config."""
     read = {key: _fmt(own[key] if key in own else getattr(cfg, key)) for key in COMMANDS[command]}
     return {"command": command, **read, "code_version": __version__, "rng_algorithm": RngStream.ALGORITHM}
 
 
-# -- run -------------------------------------------------------------------
-
-def _write_series(path, samples, n_sites: int) -> None:
-    """Write each sample's row as it arrives, into a file beside ``path``
-    that becomes ``path`` after the last row: a run that fails writes
-    nothing."""
-    part = f"{path}.part"
+def _write_outputs(out: str, kind: str, header: str, rows, meta) -> None:
+    """Write ``<out>_<kind>.csv``, each row as ``rows`` yields it, then
+    ``<out>_meta.txt`` from ``meta()``, into ``.part`` files opened before the
+    first row is computed; they take their names once both are whole, so a
+    failing command leaves no file. An unwritable path is a ConfigError."""
+    paths = (f"{out}_{kind}.csv", f"{out}_meta.txt")
+    parts = [f"{path}.part" for path in paths]
+    files, ours = [], []  # ours: the files this call made, removed if anything fails
     try:
-        with open(part, "w") as fh:
-            fh.write("time,Mx,My,Mz,Sxx_inst,jumps_this_interval\n")
-            for s in samples:
-                mx, my, mz = magnetization(s.bloch)
-                sxx = s.sxx_inst
-                if sxx is None:
-                    sxx = instantaneous_structure_factor(s.bloch[:, 0]) if n_sites > 1 else 0.0
-                fh.write(f"{_fmt(s.time)},{_fmt(mx)},{_fmt(my)},{_fmt(mz)},{_fmt(sxx)},{int(s.jumps_in_interval)}\n")
-        os.replace(part, path)
-    except BaseException:
-        if os.path.exists(part):
-            os.remove(part)
+        for part in parts:
+            files.append(open(part, "w"))
+            ours.append(part)
+        csv, txt = files
+        csv.write(header + "\n")
+        csv.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+        txt.writelines(f"{key} = {value}\n" for key, value in meta().items())
+        for i in (1, 0):  # the meta first: no CSV stands without its meta
+            files[i].close()
+            os.replace(parts[i], paths[i])
+            ours[i] = paths[i]
+    except BaseException as err:
+        for fh in files:
+            fh.close()
+        for path in ours:
+            os.remove(path)
+        if isinstance(err, OSError) and err.filename in parts:  # opening or renaming one of ours
+            raise ConfigError(f"cannot write {err.filename2 or err.filename}: {err.strerror}") from None
         raise
+    print(f"wrote {paths[0]} and {paths[1]}")
 
+
+# -- run -------------------------------------------------------------------
 
 def _engine_stream(cfg: RunConfig):
     """The configured engine's samples, as they are taken."""
@@ -193,14 +197,23 @@ def _engine_stream(cfg: RunConfig):
 
 def cmd_run(cfg: RunConfig) -> int:
     samples = _engine_stream(cfg)
-    _write_series(f"{cfg.out}_series.csv", samples, cfg.width * cfg.height)
-    meta = _base_meta(cfg, "run")
-    if cfg.engine != "exact":  # a trajectory stream, now exhausted
-        meta["total_jumps"] = str(samples.total_jumps)
-        if samples.trapped_at is not None:
-            meta["trapped_at"] = _fmt(samples.trapped_at)
-    write_meta(f"{cfg.out}_meta.txt", meta)
-    print(f"wrote {cfg.out}_series.csv and {cfg.out}_meta.txt")
+
+    def rows():
+        for s in samples:
+            sxx = s.sxx_inst
+            if sxx is None:
+                sxx = instantaneous_structure_factor(s.bloch[:, 0]) if len(s.bloch) > 1 else 0.0
+            yield (s.time, *magnetization(s.bloch), sxx, int(s.jumps_in_interval))
+
+    def meta():
+        meta = _base_meta(cfg, "run")
+        if cfg.engine != "exact":  # a trajectory stream, now exhausted
+            meta["total_jumps"] = str(samples.total_jumps)
+            if samples.trapped_at is not None:
+                meta["trapped_at"] = _fmt(samples.trapped_at)
+        return meta
+
+    _write_outputs(cfg.out, "series", "time,Mx,My,Mz,Sxx_inst,jumps_this_interval", rows(), meta)
     return 0
 
 
@@ -226,6 +239,9 @@ class SweepConfig:
             raise ConfigError("a sweep runs batched manifold trajectories; set engine = gutzwiller")
         if self.param == "size" and not all(float(v).is_integer() and v >= 1 for v in self.values):
             raise ConfigError(f"sizes must be positive integers, got {self.values}")
+        spp, n_steps = cadence(self.base.trajectory(), self.base.step())
+        if n_steps // spp * spp * self.base.dt < self.base.burn_in:  # the last sample's time, as the path takes it
+            raise InsufficientDataError(f"no sample at or after burn_in = {self.base.burn_in:g}")
 
     def point_config(self, value) -> RunConfig:
         if self.param == "jy":
@@ -272,10 +288,11 @@ def run_sweep(sweep: SweepConfig):
         n_chunks = min(workers, len(group))
         bounds = [len(group) * c // n_chunks for c in range(n_chunks + 1)]
         chunks.extend(group[a:b] for a, b in zip(bounds, bounds[1:]))
-    if workers > 1:
+    pool_size = min(workers, len(chunks))  # a fork pool starts all its workers at once
+    if pool_size > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pooled sweep pays for its import
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             raw = [r for chunk in pool.map(_sweep_task, chunks) for r in chunk]
     else:
         raw = [r for chunk in chunks for r in _sweep_task(chunk)]
@@ -294,35 +311,21 @@ def run_sweep(sweep: SweepConfig):
             est = float(traj_means.mean())
             se = float(traj_means.std(ddof=1) / np.sqrt(len(traj_means)))
         cfg = sweep.point_config(value)
-        rows.append(
-            {
-                "jy": cfg.jy,
-                "L": cfg.width,
-                "Sxx_k0": est,
-                "Sxx_stderr": se,
-                "Mx_abs_mean": float(mx_all.mean()),
-                "sample_count": n_samples,
-                "trajectories": sweep.trajectories,
-            }
-        )
+        rows.append({"jy": cfg.jy, "L": cfg.width, "Sxx_k0": est, "Sxx_stderr": se,
+                     "Mx_abs_mean": float(mx_all.mean()), "sample_count": n_samples,
+                     "trajectories": sweep.trajectories})
     return rows
 
 
 def cmd_sweep(cfg: RunConfig, **keys) -> int:
     sweep = SweepConfig(cfg, **keys)
-    rows = run_sweep(sweep)
-    out = sweep.base.out
-    with open(f"{out}_sweep.csv", "w") as fh:
-        fh.write("jy,L,Sxx_k0,Sxx_stderr,Mx_abs_mean,sample_count,trajectories\n")
-        for r in rows:
-            fh.write(
-                f"{_fmt(r['jy'])},{r['L']},{_fmt(r['Sxx_k0'])},{_fmt(r['Sxx_stderr'])},"
-                f"{_fmt(r['Mx_abs_mean'])},{r['sample_count']},{r['trajectories']}\n"
-            )
-    meta = _base_meta(sweep.base, "sweep", **keys)
-    meta["averaging"] = "time" if sweep.trajectories == 1 else "ensemble_of_time_means"
-    write_meta(f"{out}_meta.txt", meta)
-    print(f"wrote {out}_sweep.csv and {out}_meta.txt")
+
+    def rows():  # the sweep runs once the files are open
+        yield from map(dict.values, run_sweep(sweep))
+
+    averaging = "time" if sweep.trajectories == 1 else "ensemble_of_time_means"
+    _write_outputs(cfg.out, "sweep", "jy,L,Sxx_k0,Sxx_stderr,Mx_abs_mean,sample_count,trajectories", rows(),
+                   lambda: {**_base_meta(cfg, "sweep", **keys), "averaging": averaging})
     return 0
 
 
@@ -331,38 +334,35 @@ def cmd_sweep(cfg: RunConfig, **keys) -> int:
 def cmd_correlate(cfg: RunConfig) -> int:
     if cfg.engine != "gutzwiller":
         raise ConfigError("the correlation profile uses the factorized estimator; set engine = gutzwiller")
+    if cfg.width * cfg.height < 2:
+        raise ConfigError(f"a correlation profile needs at least 2 sites, got {cfg.width}x{cfg.height}")
     geometry = cfg.geometry()
     samples = trajectory_stream(geometry, cfg.model(), cfg.trajectory(), cfg.step())
-    profile = correlation_profile(samples, geometry)  # keeps one class row per sample
-    with open(f"{cfg.out}_corr.csv", "w") as fh:
-        fh.write("dx,dy,distance,corr_xx,stderr,pair_count,axis_flag\n")
-        for i, c in enumerate(profile.classes):
-            fh.write(
-                f"{c.dx},{c.dy},{_fmt(c.distance)},{_fmt(profile.mean[i])},"
-                f"{_fmt(profile.stderr[i])},{c.pair_count},{int(c.is_axis)}\n"
-            )
-    meta = _base_meta(cfg, "correlate")
-    meta["n_samples"] = str(profile.n_samples)
-    if samples.trapped_at is not None:
-        meta["trapped_at"] = _fmt(samples.trapped_at)
-    write_meta(f"{cfg.out}_meta.txt", meta)
-    print(f"wrote {cfg.out}_corr.csv and {cfg.out}_meta.txt")
+    profile = None
+
+    def rows():
+        nonlocal profile
+        profile = correlation_profile(samples, geometry)  # keeps one class row per sample
+        for c, mean, se in zip(profile.classes, profile.mean, profile.stderr):
+            yield c.dx, c.dy, c.distance, mean, se, c.pair_count, int(c.is_axis)
+
+    def meta():
+        meta = {**_base_meta(cfg, "correlate"), "n_samples": str(profile.n_samples)}
+        if samples.trapped_at is not None:
+            meta["trapped_at"] = _fmt(samples.trapped_at)
+        return meta
+
+    _write_outputs(cfg.out, "corr", "dx,dy,distance,corr_xx,stderr,pair_count,axis_flag", rows(), meta)
     return 0
 
 
 # -- mf-curve ----------------------------------------------------------------
 
 def cmd_mf_curve(cfg: RunConfig, values) -> int:
-    params = [ModelParams(cfg.jx, float(jy), cfg.jz, cfg.gamma) for jy in values]
-    with open(f"{cfg.out}_mf.csv", "w") as fh:
-        fh.write("jy,Sxx_mf\n")
-        for jy, p in zip(values, params):
-            fh.write(f"{_fmt(jy)},{_fmt(mf_structure_factor(p))}\n")
-    meta = _base_meta(cfg, "mf-curve", values=values)
+    rows = ((jy, mf_structure_factor(ModelParams(cfg.jx, float(jy), cfg.jz, cfg.gamma))) for jy in values)
     transition = mf_transition_point(cfg.jx, cfg.jz, cfg.gamma)
-    meta["transition_jy"] = "none" if transition is None else _fmt(transition)
-    write_meta(f"{cfg.out}_meta.txt", meta)
-    print(f"wrote {cfg.out}_mf.csv and {cfg.out}_meta.txt")
+    _write_outputs(cfg.out, "mf", "jy,Sxx_mf", rows, lambda: {**_base_meta(cfg, "mf-curve", values=values),
+                   "transition_jy": "none" if transition is None else _fmt(transition)})
     return 0
 
 

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from gwmc import dynamics, oracle
-from gwmc.cli import (COMMANDS, ENGINES, RunConfig, SweepConfig, _base_meta, _fmt, _write_series, build_parser, main,
-                      parse_kv_file, run_sweep)
+from gwmc.cli import (COMMANDS, ENGINES, RunConfig, SweepConfig, _base_meta, _fmt, build_parser, main, parse_kv_file,
+                      run_sweep)
 from gwmc.dynamics import run_trajectory
 from gwmc.errors import ConfigError, NumericsError
 from gwmc.lattice import build_lattice
-from gwmc.observables import correlation_profile
+from gwmc.observables import correlation_profile, instantaneous_structure_factor, magnetization
 from gwmc.state import down_state, plus_x_state, save_state_csv
 
 
@@ -346,6 +346,47 @@ class TestSweepCommand:
         rows = (tmp_path / "sz_sweep.csv").read_text().splitlines()[1:]
         assert [r.split(",")[1] for r in rows] == ["3", "4"]
 
+    @pytest.mark.parametrize("trajectories", ["1", "2"])
+    def test_no_sample_after_burn_in_refused(self, tmp_path, capsys, trajectories):
+        # samples fall at 0 and 1; one at 2 would be kept (t >= burn_in)
+        args = _run_args(tmp_path, "nb", width="2", height="2", **{"t-total": "1.9", "burn-in": "1.5"})
+        assert main(["sweep", *args, "--values", "1.2", "--trajectories", trajectories]) == 1
+        assert capsys.readouterr().err.startswith("error: no sample at or after burn_in = 1.5")
+        assert not list(tmp_path.iterdir())
+        args = _run_args(tmp_path, "last", width="2", height="2", **{"t-total": "2.5", "burn-in": "2"})
+        assert main(["sweep", *args, "--values", "1.2", "--trajectories", "2"]) == 0
+        assert (tmp_path / "last_sweep.csv").read_text().splitlines()[1].split(",")[5] == "2"
+
+    @pytest.mark.parametrize("param,values,trajectories,workers,pool", [
+        ("jy", "1.2", "1", "2", None),  # one row, one chunk: no pool
+        ("jy", "1.2,1.5", "1", "4", 2),  # two rows
+        ("size", "2,3", "1", "3", 2),  # one chunk per lattice
+        ("jy", "1.2,1.5", "2", "3", 3),
+    ])
+    def test_pool_sized_by_the_chunks(self, tmp_path, monkeypatch, param, values, trajectories, workers, pool):
+        import concurrent.futures
+
+        made = []
+
+        class Recording:  # stands in for the process pool, and runs the chunks here
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        args = _run_args(tmp_path, "p", width="2", height="2", workers=workers, **{"t-total": "12", "burn-in": "2"})
+        assert main(["sweep", *args, "--param", param, "--values", values, "--trajectories", trajectories]) == 0
+        assert made == ([] if pool is None else [pool])
+        assert parse_kv_file(tmp_path / "p_meta.txt")["workers"] == workers
+
     def test_single_trajectory_uses_batch_means(self, tmp_path):
         sweep = SweepConfig(
             base=RunConfig(width=3, height=3, t_total=60.0, burn_in=10.0, seed=4,
@@ -383,6 +424,13 @@ class TestCorrelateCommand:
     def test_requires_manifold_engine(self, tmp_path):
         args = _run_args(tmp_path, "ce", engine="exact", width="2", height="2")
         assert main(["correlate", *args]) == 1
+
+    def test_one_site_refused_before_work(self, tmp_path, capsys, monkeypatch):
+        steps = []
+        monkeypatch.setattr(dynamics, "advance", lambda *a, **k: steps.append(1))
+        assert main(["correlate", *_run_args(tmp_path, "c1", width="1", height="1")]) == 1
+        assert capsys.readouterr().err.startswith("error: a correlation profile needs at least 2 sites")
+        assert not steps and not list(tmp_path.iterdir())
 
 
 class TestStreaming:
@@ -473,8 +521,12 @@ class TestStreaming:
             assert meta["total_jumps"] == str(result.total_jumps)
             assert meta.get("trapped_at") == (None if result.trapped_at is None else _fmt(result.trapped_at))
             assert ("trapped_at" in meta) == ("jx" in over)
-        _write_series(tmp_path / "collected.csv", samples, geometry.n_sites)
-        assert _read(tmp_path / "st_series.csv") == _read(tmp_path / "collected.csv")
+        lines = ["time,Mx,My,Mz,Sxx_inst,jumps_this_interval"]
+        for s in samples:  # every case has at least 2 sites
+            sxx = instantaneous_structure_factor(s.bloch[:, 0]) if s.sxx_inst is None else s.sxx_inst
+            lines.append(",".join([_fmt(s.time), *map(_fmt, magnetization(s.bloch)), _fmt(sxx),
+                                   str(int(s.jumps_in_interval))]))
+        assert (tmp_path / "st_series.csv").read_text() == "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("engine,owner,attr,fail_at", [
         ("gutzwiller", dynamics, "advance", 250),  # one call per step
@@ -560,6 +612,26 @@ class TestMetaFiles:
         assert main([command, "--config", str(tmp_path / "a_meta.txt"), "--out", str(tmp_path / "b")]) == 0
         csv = self.OUTPUTS[command]
         assert _read(tmp_path / f"a_{csv}.csv") == _read(tmp_path / f"b_{csv}.csv")
+
+    # every command writes its CSV and meta through .part files, opened
+    # before the first row is computed and renamed once both are whole
+    @pytest.mark.parametrize("command", COMMAND_ARGS)
+    def test_unwritable_out_refused_before_work(self, tmp_path, capsys, monkeypatch, command):
+        steps = []
+        monkeypatch.setattr(dynamics, "advance", lambda *a, **k: steps.append(1))
+        assert main([command, *self._args(tmp_path, command, "missing/x"), *self.COMMAND_ARGS[command]]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write ") and captured.out == ""
+        assert not steps  # mf-curve takes no step in any case
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", COMMAND_ARGS)
+    def test_meta_path_in_the_way_leaves_no_csv(self, tmp_path, capsys, command):
+        (tmp_path / "x_meta.txt").mkdir()
+        assert main([command, *self._args(tmp_path, command, "x"), *self.COMMAND_ARGS[command]]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+        assert [p.name for p in tmp_path.iterdir()] == ["x_meta.txt"]
+        assert not list((tmp_path / "x_meta.txt").iterdir())
 
     @pytest.mark.parametrize("command", COMMAND_ARGS)
     def test_workers_env_ignored(self, tmp_path, monkeypatch, command):
