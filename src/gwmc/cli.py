@@ -182,6 +182,14 @@ def _write_outputs(out: str, kind: str, header: str, rows, meta) -> None:
     print(f"wrote {paths[0]} and {paths[1]}")
 
 
+def _require_samples(cfg: RunConfig, needed: int) -> None:
+    """Refuse, before the first step, fewer than ``needed`` samples at or after burn_in."""
+    kept = cadence(cfg.trajectory(), cfg.step())[2]
+    if kept < needed:
+        raise InsufficientDataError(f"only {kept} post-burn-in samples, need {needed}" if kept
+                                    else f"no sample at or after burn_in = {cfg.burn_in:g}")
+
+
 # -- run -------------------------------------------------------------------
 
 def _engine_stream(cfg: RunConfig):
@@ -207,10 +215,10 @@ def cmd_run(cfg: RunConfig) -> int:
 
     def meta():
         meta = _base_meta(cfg, "run")
-        if cfg.engine != "exact":  # a trajectory stream, now exhausted
-            meta["total_jumps"] = str(samples.total_jumps)
-            if samples.trapped_at is not None:
-                meta["trapped_at"] = _fmt(samples.trapped_at)
+        if cfg.engine != "exact":  # a trajectory, now exhausted: its steps after the last sample count
+            meta["total_jumps"] = str(samples.finish())
+        if samples.trapped_at is not None:
+            meta["trapped_at"] = _fmt(samples.trapped_at)
         return meta
 
     _write_outputs(cfg.out, "series", "time,Mx,My,Mz,Sxx_inst,jumps_this_interval", rows(), meta)
@@ -239,9 +247,7 @@ class SweepConfig:
             raise ConfigError("a sweep runs batched manifold trajectories; set engine = gutzwiller")
         if self.param == "size" and not all(float(v).is_integer() and v >= 1 for v in self.values):
             raise ConfigError(f"sizes must be positive integers, got {self.values}")
-        spp, n_steps = cadence(self.base.trajectory(), self.base.step())
-        if n_steps // spp * spp * self.base.dt < self.base.burn_in:  # the last sample's time, as the path takes it
-            raise InsufficientDataError(f"no sample at or after burn_in = {self.base.burn_in:g}")
+        _require_samples(self.base, 2 if self.trajectories == 1 else 1)  # a time average needs 2
 
     def point_config(self, value) -> RunConfig:
         if self.param == "jy":
@@ -251,21 +257,21 @@ class SweepConfig:
 
 
 def _sweep_task(rows):
-    """One chunk of (cfg, point, trajectory, stream) rows that share a lattice,
-    advanced as one batch with a stream per row; returns each row's
-    post-burn-in Sxx_inst and |Mx| series as plain arrays for merging."""
-    cfg = rows[0][0]
+    """One chunk of ((point, trajectory), cfg, stream) rows that share a
+    lattice, advanced as one batch with a stream per row; returns each row's
+    key with its post-burn-in Sxx_inst and |Mx| series as plain arrays."""
+    keys, configs, streams = zip(*rows)
+    cfg = configs[0]
     traj = cfg.trajectory()
     sxx = [[] for _ in rows]
     mx_abs = [[] for _ in rows]
-    streams = [r[3] for r in rows]
-    for t, bloch, _ in batch_samples(cfg.geometry(), [r[0].model() for r in rows], traj, cfg.step(), streams):
+    for t, bloch, _ in batch_samples(cfg.geometry(), [c.model() for c in configs], traj, cfg.step(), streams):
         if t < traj.burn_in:
             continue
         for k, b in enumerate(bloch):
             sxx[k].append(instantaneous_structure_factor(b[:, 0]))
             mx_abs[k].append(abs(float(magnetization(b)[0])))
-    return [(i, k, np.array(s), np.array(x)) for (_, i, k, _), s, x in zip(rows, sxx, mx_abs)]
+    return [(key, (np.array(s), np.array(x))) for key, s, x in zip(keys, sxx, mx_abs)]
 
 
 def run_sweep(sweep: SweepConfig):
@@ -275,14 +281,14 @@ def run_sweep(sweep: SweepConfig):
     sweep one per size); each group is split into at most ``workers``
     contiguous chunks, one batch each. Row (i, k) owns stream i*T + k, so it
     is bit-identical to the solo trajectory on that stream and results do not
-    depend on the chunking; aggregation sorts by row before combining.
+    depend on the chunking; each row's series is read back by its key.
     """
     workers = sweep.base.workers
+    configs = [sweep.point_config(value) for value in sweep.values]
     groups: dict[tuple[int, int], list] = {}
-    for i, value in enumerate(sweep.values):
-        cfg = sweep.point_config(value)
+    for i, cfg in enumerate(configs):
         group = groups.setdefault((cfg.width, cfg.height), [])
-        group.extend((cfg, i, k, i * sweep.trajectories + k) for k in range(sweep.trajectories))
+        group.extend(((i, k), cfg, i * sweep.trajectories + k) for k in range(sweep.trajectories))
     chunks = []
     for group in groups.values():
         n_chunks = min(workers, len(group))
@@ -293,16 +299,14 @@ def run_sweep(sweep: SweepConfig):
         from concurrent.futures import ProcessPoolExecutor  # only a pooled sweep pays for its import
 
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            raw = [r for chunk in pool.map(_sweep_task, chunks) for r in chunk]
+            done = list(pool.map(_sweep_task, chunks))
     else:
-        raw = [r for chunk in chunks for r in _sweep_task(chunk)]
-    raw.sort(key=lambda r: (r[0], r[1]))
+        done = map(_sweep_task, chunks)
+    series = dict(row for chunk in done for row in chunk)  # (point, trajectory) -> (Sxx, |Mx|)
 
     rows = []
-    for i, value in enumerate(sweep.values):
-        series = [r for r in raw if r[0] == i]
-        sxx_all = [r[2] for r in series]
-        mx_all = np.concatenate([r[3] for r in series])
+    for i, cfg in enumerate(configs):
+        sxx_all, mx_all = zip(*(series[i, k] for k in range(sweep.trajectories)))
         n_samples = int(sum(len(s) for s in sxx_all))
         if sweep.trajectories == 1:
             est, se = batch_means(sxx_all[0])
@@ -310,9 +314,8 @@ def run_sweep(sweep: SweepConfig):
             traj_means = np.array([s.mean() for s in sxx_all])
             est = float(traj_means.mean())
             se = float(traj_means.std(ddof=1) / np.sqrt(len(traj_means)))
-        cfg = sweep.point_config(value)
         rows.append({"jy": cfg.jy, "L": cfg.width, "Sxx_k0": est, "Sxx_stderr": se,
-                     "Mx_abs_mean": float(mx_all.mean()), "sample_count": n_samples,
+                     "Mx_abs_mean": float(np.concatenate(mx_all).mean()), "sample_count": n_samples,
                      "trajectories": sweep.trajectories})
     return rows
 
@@ -336,6 +339,7 @@ def cmd_correlate(cfg: RunConfig) -> int:
         raise ConfigError("the correlation profile uses the factorized estimator; set engine = gutzwiller")
     if cfg.width * cfg.height < 2:
         raise ConfigError(f"a correlation profile needs at least 2 sites, got {cfg.width}x{cfg.height}")
+    _require_samples(cfg, 2)  # for the batch-means errors
     geometry = cfg.geometry()
     samples = trajectory_stream(geometry, cfg.model(), cfg.trajectory(), cfg.step())
     profile = None

@@ -19,11 +19,12 @@ trajectories on one lattice are advanced as one (m, n_sites, 2) array by
 :func:`batch_samples`, each row drawing from its own counter-based stream
 (:class:`RowStreams`). :class:`SamplePath` is the one step-and-sample
 loop, for this engine and for the exact references in :mod:`gwmc.oracle`,
-and keeps its run's record: each row's jump total and trap time.
-:func:`row_ensemble` is the one set-up of its trajectory rows. One
-trajectory is a :class:`TrajectoryStream`, a view of row 0 of its path as
-Samples, which consumers reduce as they arrive; :func:`run_trajectory`
-collects it.
+iterated once; it keeps its run's record, each row's jump total and trap
+time, and :func:`cadence` counts its post-burn-in samples up front.
+:func:`row_ensemble` sets up its trajectory rows. Each trajectory is a
+:class:`TrajectoryStream`, the one maker of Samples, a stateless view of
+row 0 of its path; only a caller that reports the jump total calls its
+``finish()``, for the steps after the last sample.
 """
 
 from __future__ import annotations
@@ -391,25 +392,29 @@ class TrajectoryResult:
 
 
 class TrajectoryStream:
-    """One trajectory's Samples, taken as it is iterated (once) and kept
-    nowhere: ``sample(t, observation, jumps)`` makes each from row 0 of the
-    one-row :class:`SamplePath` ``path``. Its length is the path's; once it
-    is exhausted, it finishes the path, and ``total_jumps`` and
-    ``trapped_at`` are final."""
+    """One trajectory's Samples, made as it is iterated (once) and kept
+    nowhere: ``view`` maps each observation of the one-row SamplePath
+    ``path`` to row 0's Bloch vectors and exact Sxx (None on the manifold),
+    and the stream adds time, burn-in flag and jump count. ``trapped_at``
+    is the path's; :meth:`finish` steps to the horizon for the jump total."""
 
-    def __init__(self, path: SamplePath, sample):
-        self._path, self._sample = path, sample
-        self.trapped_at: float | None = None
-        self.total_jumps = 0
+    def __init__(self, path: SamplePath, burn_in: float, view):
+        self._path, self._burn_in, self._view = path, burn_in, view
 
     def __len__(self) -> int:
         return len(self._path)
 
+    @property
+    def trapped_at(self) -> float | None:
+        return self._path.trapped_at[0]
+
+    def finish(self) -> int:
+        return int(self._path.finish()[0])
+
     def __iter__(self):
         for t, observation, jumps in self._path:
-            yield self._sample(t, observation, int(jumps[0]))
-        self.total_jumps = int(self._path.finish()[0])
-        self.trapped_at = self._path.trapped_at[0]
+            bloch, sxx = self._view(observation)
+            yield Sample(t, bloch, burn_in=t < self._burn_in, jumps_in_interval=int(jumps[0]), sxx_inst=sxx)
 
 
 def k_steps(advance_once, rows: int):
@@ -438,17 +443,20 @@ def whole_steps(duration: float, dt: float) -> int:
     return int(round(count))
 
 
-def cadence(traj: TrajectoryConfig, step: StepConfig) -> tuple[int, int]:
-    """(steps per sample, steps in all) of a :class:`SamplePath`. Refuses a
-    sample_interval below dt, and a sample_interval or t_total that is not a
-    whole number of steps (to a relative 1e-9)."""
+def cadence(traj: TrajectoryConfig, step: StepConfig) -> tuple[int, int, int]:
+    """(steps per sample, steps in all, samples at or after burn_in) of a
+    :class:`SamplePath`. Refuses a sample_interval below dt, and a
+    sample_interval or t_total off the step grid (to a relative 1e-9)."""
     if traj.sample_interval < step.dt:
         raise ConfigError("sample_interval must be at least dt")
     for name in ("sample_interval", "t_total"):
         span = getattr(traj, name)
         if not math.isclose(span / step.dt, whole_steps(span, step.dt), rel_tol=1e-9):
             raise ConfigError(f"{name} = {span:g} is not a whole number of steps of dt = {step.dt:g}")
-    return whole_steps(traj.sample_interval, step.dt), whole_steps(traj.t_total, step.dt)
+    spp, n_steps = whole_steps(traj.sample_interval, step.dt), whole_steps(traj.t_total, step.dt)
+    near = math.ceil(traj.burn_in / (spp * step.dt))  # the first kept sample, or one off by rounding
+    first = next(j for j in (near - 1, near, near + 1) if j * spp * step.dt >= traj.burn_in)  # timed as the path
+    return spp, n_steps, max(0, n_steps // spp - first + 1)
 
 
 class SamplePath:
@@ -457,7 +465,7 @@ class SamplePath:
     ``advance(state, k)`` takes k time steps and returns (new state, (rows,)
     jump counts); ``observe(state)`` gives what a sample records. Iterating
     yields ``len()`` tuples (t, observation, jumps since the previous
-    sample) at t = 0 and every sample_interval (:func:`cadence`).
+    sample) at t = 0 and every sample_interval (:func:`cadence`), once.
 
     With ``trap`` the observation is the manifold engine's (rows, n_sites, 3)
     Bloch array, and a row whose sample is the all-down dark state is
@@ -470,10 +478,10 @@ class SamplePath:
 
     def __init__(self, state, advance, observe, traj: TrajectoryConfig, step: StepConfig,
                  rows: int = 1, trap: bool = False):
-        self.spp, self.n_steps = cadence(traj, step)
+        self.spp, self.n_steps, _ = cadence(traj, step)
         self.dt = step.dt
         self.state, self._advance, self._observe, self._trap = state, advance, observe, trap
-        self.n = 0
+        self.n, self._started = 0, False
         self.trapped = np.zeros(rows, dtype=bool)
         self.trapped_at: list[float | None] = [None] * rows
         self.total_jumps = np.zeros(rows, dtype=np.int64)
@@ -482,6 +490,9 @@ class SamplePath:
         return self.n_steps // self.spp + 1
 
     def __iter__(self):
+        if self._started:
+            raise RuntimeError("a SamplePath is iterated once")
+        self._started = True
         obs = self._observe(self.state)
         yield 0.0, obs, np.zeros_like(self.total_jumps)
         while self.n + self.spp <= self.n_steps:
@@ -505,7 +516,7 @@ class SamplePath:
     def finish(self) -> np.ndarray:
         """Take the steps after the last sample; returns each row's jump
         count over the whole horizon. Only for an exhausted path."""
-        if self.n + self.spp <= self.n_steps:
+        if not self._started or self.n + self.spp <= self.n_steps:
             raise RuntimeError("finish() on a path with samples left")
         if not self.trapped.all():
             self.state, since = self._advance(self.state, self.n_steps - self.n)
@@ -559,11 +570,8 @@ def batch_samples(
 def trajectory_stream(geometry: LatticeGeometry, p: ModelParams, traj: TrajectoryConfig,
                       step: StepConfig = StepConfig(), stream: int = 0) -> TrajectoryStream:
     """The samples of :func:`run_trajectory`, as they are taken."""
-
-    def sample(t, bloch, jumps):
-        return Sample(t, bloch[0], burn_in=t < traj.burn_in, jumps_in_interval=jumps)
-
-    return TrajectoryStream(batch_samples(geometry, [p], traj, step, [stream]), sample)
+    path = batch_samples(geometry, [p], traj, step, [stream])
+    return TrajectoryStream(path, traj.burn_in, lambda bloch: (bloch[0], None))
 
 
 def run_trajectory(
@@ -581,7 +589,7 @@ def run_trajectory(
     samples simply repeat the frozen Bloch vectors.
     """
     samples = trajectory_stream(geometry, p, traj, step, stream)
-    return TrajectoryResult(list(samples), samples.trapped_at, samples.total_jumps)
+    return TrajectoryResult(list(samples), samples.trapped_at, samples.finish())
 
 
 def run_ensemble(

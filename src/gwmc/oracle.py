@@ -38,7 +38,6 @@ from .dynamics import (
 )
 from .errors import ConfigError, NumericsError
 from .lattice import LatticeGeometry, bonds, build_lattice
-from .observables import Sample
 from .state import NORM2_FLOOR, NORM2_MAX, plus_x_state
 
 MAX_SITES = 10  # full-space state vectors and Hamiltonians
@@ -242,18 +241,19 @@ class DenseLindblad:
                 out[i, j] = rho[idx, idx ^ masks[i] ^ masks[j]].sum().real
         return out
 
-    def iter_samples(self, traj: TrajectoryConfig, step: StepConfig):
-        """Sample stream from the configured initial product state, matching
-        the trajectory engines' schema (no jumps). Each driver step integrates
-        one whole sample interval."""
+    def iter_samples(self, traj: TrajectoryConfig, step: StepConfig) -> TrajectoryStream:
+        """The samples from the configured initial product state, on the
+        trajectory engines' cadence, with no jumps. Each step of the path
+        integrates one whole sample interval."""
 
         def advance(rho, k):
             return self.integrate(rho, k * step.dt, dt=step.dt), np.zeros(1, dtype=np.int64)
 
+        def view(rho):
+            return self.site_bloch(rho), float(structure_factor_from_pairs(self.pair_xx(rho))) if self.n > 1 else 0.0
+
         rho0 = product_density(initial_product_state(traj, self.n))
-        for t, rho, _ in SamplePath(rho0, advance, lambda rho: rho, traj, step):
-            sxx = float(structure_factor_from_pairs(self.pair_xx(rho))) if self.n > 1 else 0.0
-            yield Sample(t, self.site_bloch(rho), burn_in=t < traj.burn_in, sxx_inst=sxx)
+        return TrajectoryStream(SamplePath(rho0, advance, lambda rho: rho, traj, step), traj.burn_in, view)
 
 
 # -- full-Hilbert-space trajectories -------------------------------------------
@@ -331,12 +331,11 @@ def full_wfmc_stream(geometry: LatticeGeometry, p: ModelParams, traj: Trajectory
     """The samples of :func:`full_wfmc_trajectory`, as they are taken."""
     engine = FullWfmc(geometry, p)
 
-    def sample(t, observed, jumps):
+    def view(observed):
         bloch, xx = observed
-        sxx = float(structure_factor_from_pairs(xx[0])) if engine.n > 1 else 0.0
-        return Sample(t, bloch[0], burn_in=t < traj.burn_in, jumps_in_interval=jumps, sxx_inst=sxx)
+        return bloch[0], float(structure_factor_from_pairs(xx[0])) if engine.n > 1 else 0.0
 
-    return TrajectoryStream(engine._path(traj, step, [stream]), sample)
+    return TrajectoryStream(engine._path(traj, step, [stream]), traj.burn_in, view)
 
 
 def full_wfmc_trajectory(
@@ -350,7 +349,7 @@ def full_wfmc_trajectory(
     cadence; samples carry exact per-site Bloch vectors and exact pair-based
     instantaneous structure factors."""
     samples = full_wfmc_stream(geometry, p, traj, step, stream)
-    return TrajectoryResult(list(samples), None, samples.total_jumps)
+    return TrajectoryResult(list(samples), None, samples.finish())
 
 
 def full_wfmc_ensemble(
@@ -463,7 +462,7 @@ def oracle_report(
     # the full-space ensemble stops at the last checkpoint, the last time it is read
     times, blochs, pairs = full_wfmc_ensemble(geometry, p, replace(traj, t_total=checkpoints[-1]), step, n_traj)
     sys_n = DenseLindblad(geometry, p)
-    rho = product_density(plus_x_state(n_sites))
+    rho = rho0 = product_density(initial_product_state(traj, n_sites))  # the ensembles' start
     worst = 0.0
     prev_t = 0.0
     ok = True
@@ -471,23 +470,21 @@ def oracle_report(
         rho = sys_n.integrate(rho, t_chk - prev_t, dt=0.002)
         prev_t = t_chk
         idx = int(np.argmin(np.abs(times - t_chk)))
-        vals = blochs[idx, :, 0, 0]  # per-trajectory <sigma_1^x>
-        se = vals.std(ddof=1) / np.sqrt(n_traj)
-        lhs = abs(vals.mean() - sys_n.site_bloch(rho)[0, 0])
-        ok &= lhs <= 3.0 * se + 1e-12
-        worst = max(worst, lhs / max(se, 1e-300))
+        # per-trajectory <sigma_1^x>, and <sigma_1^x sigma_2^x> on two or more sites
+        observables = [(blochs[idx, :, 0, 0], sys_n.site_bloch(rho)[0, 0])]
         if n_sites >= 2:
-            pv = pairs[idx, :, 0, 1]
-            se2 = pv.std(ddof=1) / np.sqrt(n_traj)
-            lhs2 = abs(pv.mean() - sys_n.pair_xx(rho)[0, 1])
-            ok &= lhs2 <= 3.0 * se2 + 1e-12
-            worst = max(worst, lhs2 / max(se2, 1e-300))
+            observables.append((pairs[idx, :, 0, 1], sys_n.pair_xx(rho)[0, 1]))
+        for vals, exact in observables:
+            se = vals.std(ddof=1) / np.sqrt(n_traj)
+            lhs = abs(vals.mean() - exact)
+            ok &= lhs <= 3.0 * se + 1e-12
+            worst = max(worst, lhs / max(se, 1e-300))
     checks.append(CheckResult("unraveling_exactness", ok, worst, 3.0, "max |dev|/SE over checkpoints"))
 
     # 3. XXZ exact steady state: all spins down
     p_xxz = ModelParams(jx=p.jx, jy=p.jx, jz=p.jz, gamma=p.gamma)
     sys_xxz = DenseLindblad(geometry, p_xxz)
-    rho_ss = sys_xxz.integrate(product_density(plus_x_state(n_sites)), 40.0, dt=0.002)
+    rho_ss = sys_xxz.integrate(rho0, 40.0, dt=0.002)
     dark_dev = float(np.abs(sys_xxz.site_bloch(rho_ss) - np.array([0.0, 0.0, -1.0])).max())
     checks.append(CheckResult("xxz_dark_state", dark_dev <= 1e-4, dark_dev, 1e-4))
 
@@ -500,14 +497,7 @@ def oracle_report(
         pair_vals = g_blochs[-1, :, 0, 0] * g_blochs[-1, :, 1, 0]
         se = pair_vals.std(ddof=1) / np.sqrt(n_traj)
         residual = abs(pair_vals.mean() - sys_n.pair_xx(rho)[0, 1])
-        checks.append(
-            CheckResult(
-                "manifold_residual_resolved",
-                residual > 3.0 * se,
-                residual,
-                3.0 * se,
-                f"|<xx>_manifold - <xx>_exact| at t={g_times[-1]:g}",
-            )
-        )
+        checks.append(CheckResult("manifold_residual_resolved", residual > 3.0 * se, residual, 3.0 * se,
+                                  f"|<xx>_manifold - <xx>_exact| at t={g_times[-1]:g}"))
     return OracleReport(checks)
 

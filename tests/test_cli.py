@@ -425,6 +425,21 @@ class TestCorrelateCommand:
         args = _run_args(tmp_path, "ce", engine="exact", width="2", height="2")
         assert main(["correlate", *args]) == 1
 
+    @pytest.mark.parametrize("command", ["correlate", "sweep"])
+    def test_one_kept_sample_refused_before_work(self, tmp_path, capsys, monkeypatch, command):
+        # batch means need two post-burn-in samples: samples at 19 and 20
+        # pass, the sample at 20 alone is refused before the first step
+        sweep = ["--values", "1.2,1.5", "--trajectories", "1"] if command == "sweep" else []
+        steps = []
+        monkeypatch.setattr(dynamics, "advance", lambda *a, **k: steps.append(1))
+        args = _run_args(tmp_path, "one", width="4", height="4", **{"t-total": "20", "burn-in": "19.5"})
+        assert main([command, *args, *sweep]) == 1
+        assert capsys.readouterr().err.startswith("error: only 1 post-burn-in samples, need 2")
+        assert not steps and not list(tmp_path.iterdir())
+        monkeypatch.undo()
+        args = _run_args(tmp_path, "two", width="4", height="4", **{"t-total": "20", "burn-in": "19"})
+        assert main([command, *args, *sweep]) == 0
+
     def test_one_site_refused_before_work(self, tmp_path, capsys, monkeypatch):
         steps = []
         monkeypatch.setattr(dynamics, "advance", lambda *a, **k: steps.append(1))
@@ -435,6 +450,32 @@ class TestCorrelateCommand:
 
 class TestStreaming:
     """run and correlate consume each sample as the step loop takes it."""
+
+    @pytest.mark.parametrize("engine,owner,width,height", [("gutzwiller", dynamics, "4", "4"),
+                                                           ("fullwfmc", oracle.FullWfmc, "2", "1")],
+                             ids=["gutzwiller", "fullwfmc"])
+    def test_only_run_steps_after_the_last_sample(self, tmp_path, monkeypatch, engine, owner, width, height):
+        # t_total 20.5 leaves 50 steps after the last sample: run takes them
+        # for its meta's total_jumps (at Jy = 1.8 and seed 1 both engines jump
+        # in them), correlate never does
+        steps = []
+        original = owner.advance
+
+        def counting(*args, **kwargs):
+            steps.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, "advance", counting)
+        off = {"width": width, "height": height, "jy": "1.8", "seed": "1", "t-total": "20.5", "burn-in": "2",
+               "engine": engine}
+        assert main(["run", *_run_args(tmp_path, "r", **off)]) == 0
+        assert len(steps) == 2050
+        jumps = sum(int(row.split(",")[-1]) for row in (tmp_path / "r_series.csv").read_text().splitlines()[1:])
+        assert int(parse_kv_file(tmp_path / "r_meta.txt")["total_jumps"]) > jumps
+        if engine == "gutzwiller":
+            steps.clear()
+            assert main(["correlate", *_run_args(tmp_path, "c", **off)]) == 0
+            assert len(steps) == 2000
 
     @pytest.mark.parametrize("command", ["run", "correlate"])
     def test_peak_memory_bounded_in_the_horizon(self, tmp_path, command):

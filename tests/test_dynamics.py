@@ -14,6 +14,7 @@ from gwmc.dynamics import (
     TrajectoryConfig,
     advance,
     batch_samples,
+    cadence,
     deterministic_step,
     jump_probabilities,
     k_steps,
@@ -547,6 +548,29 @@ class TestRunTrajectory:
         samples = trajectory_stream(build_lattice(2, 2), P_FERRO, traj, StepConfig(dt=dt))
         assert len(samples) == len(list(samples))
 
+    def test_second_pass_refused(self):
+        # a second pass would restart at t = 0 from the final state
+        samples = trajectory_stream(build_lattice(2, 2), P_FERRO, TrajectoryConfig(t_total=3.0, seed=2))
+        assert len(list(samples)) == 4
+        with pytest.raises(RuntimeError, match="iterated once"):
+            list(samples)
+
+    @pytest.mark.parametrize("t_total,interval,dt,burn_in,kept", [
+        (0.2, 0.01, 0.01, 0.07, 14),  # 0.07 / 0.01 rounds up past 7: a plain ceiling keeps 13
+        (0.6, 0.03, 0.03, 0.33, 9),  # 11 * 0.03 = 0.32999999999999996 is burn-in
+        (10.0, 1.0, 0.01, 0.0, 11), (10.5, 1.0, 0.01, 9.5, 1), (10.5, 1.0, 0.01, 10.2, 0),
+        (2.0, 0.3, 0.01, 0.9, None), (3.0, 0.7, 0.05, 1.4, None),
+    ])
+    def test_cadence_counts_the_kept_samples(self, t_total, interval, dt, burn_in, kept):
+        # the count is known before the first step, and the stream's own
+        # burn-in flags agree with it at the boundary
+        traj = TrajectoryConfig(t_total=t_total, burn_in=burn_in, sample_interval=interval, seed=2)
+        samples = trajectory_stream(build_lattice(2, 2), P_FERRO, traj, StepConfig(dt=dt))
+        counted = sum(not s.burn_in for s in samples)
+        assert cadence(traj, StepConfig(dt=dt))[2] == counted
+        if kept is not None:
+            assert counted == kept
+
 
 class TestRngStream:
     @pytest.mark.parametrize("seed,stream", [(0, 0), (41, 7), (2**64 + 3, -1)])
@@ -584,6 +608,24 @@ class TestSamplePath:
         next(iter(path))
         with pytest.raises(RuntimeError):
             path.finish()
+
+    def test_finish_refuses_a_path_not_yet_sampled(self):
+        # 3 steps, all after the only sample: finishing first would move
+        # the state that the t = 0 sample records
+        taken = []
+        path = self._path(taken, 0.3)
+        with pytest.raises(RuntimeError):
+            path.finish()
+        assert [state for _, state, _ in path] == [0] and not taken
+        assert path.finish().tolist() == [3, 3]
+
+    def test_second_pass_refused(self):
+        taken = []
+        path = self._path(taken, 2.3)
+        assert len(list(path)) == 5
+        with pytest.raises(RuntimeError, match="iterated once"):
+            next(iter(path))
+        assert sum(taken) == 20 and path.n == 20
 
 
 class TestBatchSamples:

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_product_state
 from gwmc.errors import ConfigError, NumericsError
-from gwmc.dynamics import ModelParams, RngStream, StepConfig, TrajectoryConfig, run_trajectory
+from gwmc.dynamics import ModelParams, RngStream, StepConfig, TrajectoryConfig, TrajectoryStream, run_trajectory
 from gwmc import oracle
 from gwmc.lattice import build_lattice
 from gwmc.oracle import (
@@ -463,6 +463,15 @@ class TestSharedDriver:
         system = DenseLindblad(g, P_FERRO)
         got = list(system.iter_samples(traj, StepConfig()))
         _assert_samples_bit_equal(got, reference_dense_samples(system, traj, StepConfig()))
+
+    def test_dense_samples_are_a_trajectory_stream(self):
+        # the dense engine's samples come from the one Sample maker, with
+        # the trajectory engines' length, and never trap
+        traj = TrajectoryConfig(t_total=10.0, burn_in=1.0, sample_interval=2.5)
+        samples = DenseLindblad(build_lattice(2, 1), P_FERRO).iter_samples(traj, StepConfig())
+        assert isinstance(samples, TrajectoryStream)
+        assert len(samples) == len(list(samples)) == 5
+        assert samples.trapped_at is None
 
 
 class TestOracleReport:

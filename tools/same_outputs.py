@@ -8,15 +8,18 @@ each tree's ``src`` on PYTHONPATH, each run in a fresh temporary directory.
 The list is the four benchmark workloads (``perfbench/run.py``), the
 ``sweep-jy`` workload again at one worker, a 4x4 run at Jy = 1.0 that traps
 in the dark state, ``run --engine fullwfmc`` and ``--engine exact`` on 2x1,
-``oracle-check`` on 1, 2 and 4 sites, and three lines at Jy = 1.8 whose
+``oracle-check`` on 1, 2 and 4 sites, and five lines at Jy = 1.8 whose
 t_total of 20.5 ends half a sample interval after the last sample: ``run``
 on 4x4 and ``run --engine fullwfmc`` on 2x1, whose metas count the jumps
-of those steps, and ``sweep`` on 4x4, which takes none of them. Then
-``mf-curve`` on its default grid, a size sweep over 2x2 and 3x3 at one
-trajectory (the ``averaging = time`` batch-means path), and ``correlate``
-on 6x6. Compares the exit code, stdout and every file written; names each
-command line that differs and exits 1 if any does, or if a command fails
-in both trees.
+of those steps, and ``sweep`` on 4x4, ``run --engine exact`` on 2x1 and
+``correlate`` on 4x4, which take none of them. Then ``mf-curve`` on its
+default grid, a size sweep over 2x2 and 3x3 at one trajectory (the
+``averaging = time`` batch-means path), ``correlate`` on 6x6, and two
+lines on 4x4 that keep exactly two samples, the fewest a time average
+takes (``--t-total 20 --burn-in 19``): ``correlate`` and a one-trajectory
+sweep over two points. Compares the exit code, stdout and every file
+written; names each command line that differs and exits 1 if any does, or
+if a command fails in both trees.
 """
 
 from __future__ import annotations
@@ -52,10 +55,16 @@ def command_lines(seed: int):
     yield ["run", "--width", "4", "--height", "4", *off]
     yield ["run", "--engine", "fullwfmc", "--width", "2", "--height", "1", *off]
     yield ["sweep", "--width", "4", "--height", "4", "--values", "1.0,1.2", "--trajectories", "2", *off]
+    yield ["run", "--engine", "exact", "--width", "2", "--height", "1", *off]
+    yield ["correlate", "--width", "4", "--height", "4", *off]
     yield ["mf-curve"]
     short = ["--jy", "1.2", "--t-total", "20", "--burn-in", "2", *tail]
     yield ["sweep", "--param", "size", "--values", "2,3", "--trajectories", "1", *short]
     yield ["correlate", "--width", "6", "--height", "6", "--sample-interval", "0.5", *short]
+    # samples at t = 19 and 20 only
+    two = ["--width", "4", "--height", "4", "--jy", "1.2", "--t-total", "20", "--burn-in", "19", *tail]
+    yield ["correlate", *two]
+    yield ["sweep", "--values", "1.2,1.5", "--trajectories", "1", *two]
 
 
 def outputs(tree: Path, argv: list[str]) -> dict[str, bytes]:
