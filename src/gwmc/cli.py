@@ -32,7 +32,6 @@ from .lattice import build_lattice
 from .observables import (
     batch_means,
     correlation_profile,
-    instantaneous_structure_factor,
     magnetization,
     mf_structure_factor,
     mf_transition_point,
@@ -208,10 +207,7 @@ def cmd_run(cfg: RunConfig) -> int:
 
     def rows():
         for s in samples:
-            sxx = s.sxx_inst
-            if sxx is None:
-                sxx = instantaneous_structure_factor(s.bloch[:, 0]) if len(s.bloch) > 1 else 0.0
-            yield (s.time, *magnetization(s.bloch), sxx, int(s.jumps_in_interval))
+            yield (s.time, *magnetization(s.bloch), s.sxx_inst, int(s.jumps_in_interval))
 
     def meta():
         meta = _base_meta(cfg, "run")
@@ -247,6 +243,9 @@ class SweepConfig:
             raise ConfigError("a sweep runs batched manifold trajectories; set engine = gutzwiller")
         if self.param == "size" and not all(float(v).is_integer() and v >= 1 for v in self.values):
             raise ConfigError(f"sizes must be positive integers, got {self.values}")
+        sites = min(self.values) ** 2 if self.param == "size" else self.base.width * self.base.height
+        if sites < 2:
+            raise ConfigError(f"a sweep's structure factor needs at least 2 sites per lattice, got {sites:g}")
         _require_samples(self.base, 2 if self.trajectories == 1 else 1)  # a time average needs 2
 
     def point_config(self, value) -> RunConfig:
@@ -262,16 +261,10 @@ def _sweep_task(rows):
     key with its post-burn-in Sxx_inst and |Mx| series as plain arrays."""
     keys, configs, streams = zip(*rows)
     cfg = configs[0]
-    traj = cfg.trajectory()
-    sxx = [[] for _ in rows]
-    mx_abs = [[] for _ in rows]
-    for t, bloch, _ in batch_samples(cfg.geometry(), [c.model() for c in configs], traj, cfg.step(), streams):
-        if t < traj.burn_in:
-            continue
-        for k, b in enumerate(bloch):
-            sxx[k].append(instantaneous_structure_factor(b[:, 0]))
-            mx_abs[k].append(abs(float(magnetization(b)[0])))
-    return [(key, (np.array(s), np.array(x))) for key, s, x in zip(keys, sxx, mx_abs)]
+    path = batch_samples(cfg.geometry(), [c.model() for c in configs], cfg.trajectory(), cfg.step(), streams)
+    kept = [(sxx, np.abs(magnetization(bloch)[:, 0])) for t, (bloch, sxx), _ in path if t >= cfg.burn_in]
+    sxx, mx_abs = (np.stack(series, axis=-1) for series in zip(*kept))  # (rows, samples) each
+    return [(key, (s, x)) for key, s, x in zip(keys, sxx, mx_abs)]
 
 
 def run_sweep(sweep: SweepConfig):

@@ -20,9 +20,11 @@ trajectories on one lattice are advanced as one (m, n_sites, 2) array by
 (:class:`RowStreams`). :class:`SamplePath` is the one step-and-sample
 loop, for this engine and for the exact references in :mod:`gwmc.oracle`,
 iterated once; it keeps its run's record, each row's jump total and trap
-time, and :func:`cadence` counts its post-burn-in samples up front.
+time, and :func:`cadence` counts its post-burn-in samples up front. Every
+engine observes the per-row record (bloch, sxx, ...): Bloch vectors and the
+k = 0 structure factor, factorized here and exact in the references.
 :func:`row_ensemble` sets up its trajectory rows. Each trajectory is a
-:class:`TrajectoryStream`, the one maker of Samples, a stateless view of
+:class:`TrajectoryStream`, the one maker of Samples, a stateless reader of
 row 0 of its path; only a caller that reports the jump total calls its
 ``finish()``, for the steps after the last sample.
 """
@@ -36,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .lattice import LatticeGeometry
-from .observables import Sample
+from .observables import Sample, instantaneous_structure_factor
 from .state import bloch_vectors, is_dark, load_state_csv, plus_x_state, renormalize
 
 @dataclass(frozen=True)
@@ -393,13 +395,13 @@ class TrajectoryResult:
 
 class TrajectoryStream:
     """One trajectory's Samples, made as it is iterated (once) and kept
-    nowhere: ``view`` maps each observation of the one-row SamplePath
-    ``path`` to row 0's Bloch vectors and exact Sxx (None on the manifold),
-    and the stream adds time, burn-in flag and jump count. ``trapped_at``
-    is the path's; :meth:`finish` steps to the horizon for the jump total."""
+    nowhere: row 0's Bloch vectors and Sxx from each observation of the
+    one-row SamplePath ``path``, with time, burn-in flag and jump count.
+    ``trapped_at`` is the path's; :meth:`finish` steps to the horizon for
+    the jump total."""
 
-    def __init__(self, path: SamplePath, burn_in: float, view):
-        self._path, self._burn_in, self._view = path, burn_in, view
+    def __init__(self, path: SamplePath, burn_in: float):
+        self._path, self._burn_in = path, burn_in
 
     def __len__(self) -> int:
         return len(self._path)
@@ -412,9 +414,9 @@ class TrajectoryStream:
         return int(self._path.finish()[0])
 
     def __iter__(self):
-        for t, observation, jumps in self._path:
-            bloch, sxx = self._view(observation)
-            yield Sample(t, bloch, burn_in=t < self._burn_in, jumps_in_interval=int(jumps[0]), sxx_inst=sxx)
+        for t, (bloch, sxx, *_), jumps in self._path:
+            yield Sample(t, bloch[0], burn_in=t < self._burn_in, jumps_in_interval=int(jumps[0]),
+                         sxx_inst=float(sxx[0]))
 
 
 def k_steps(advance_once, rows: int):
@@ -463,14 +465,14 @@ class SamplePath:
     """The one step-and-sample loop of all three engines, and its run's record.
 
     ``advance(state, k)`` takes k time steps and returns (new state, (rows,)
-    jump counts); ``observe(state)`` gives what a sample records. Iterating
-    yields ``len()`` tuples (t, observation, jumps since the previous
-    sample) at t = 0 and every sample_interval (:func:`cadence`), once.
+    jump counts); ``observe(state)`` gives what a sample records, per-row
+    arrays (bloch, sxx, ...) that start with shapes (rows, n_sites, 3) and
+    (rows,). Iterating yields ``len()`` tuples (t, observation, jumps since
+    the previous sample) at t = 0 and every sample_interval, once.
 
-    With ``trap`` the observation is the manifold engine's (rows, n_sites, 3)
-    Bloch array, and a row whose sample is the all-down dark state is
-    trapped: the dark state is exact, so its Bloch vectors freeze at that
-    sample, ``trapped_at[row]``, and its later jumps are not counted; once
+    With ``trap`` a row whose sample is the all-down dark state is trapped:
+    the dark state is exact, so its record freezes at that sample,
+    ``trapped_at[row]``, and its later jumps are not counted; once
     every row is trapped, stepping stops. The path keeps the state, the
     steps taken ``n`` and each row's ``total_jumps``; only :meth:`finish`
     takes the steps after the last sample.
@@ -504,8 +506,9 @@ class SamplePath:
             t = self.n * self.dt
             fresh = self._observe(self.state)
             if self._trap:
-                fresh[self.trapped] = obs[self.trapped]
-                dark = is_dark(fresh) & ~self.trapped
+                for new, old in zip(fresh, obs):
+                    new[self.trapped] = old[self.trapped]
+                dark = is_dark(fresh[0]) & ~self.trapped
                 for k in np.flatnonzero(dark):
                     self.trapped_at[k] = t
                 self.trapped |= dark
@@ -548,8 +551,8 @@ def batch_samples(
 ) -> SamplePath:
     """The :func:`row_ensemble` path of one batch row per entry of
     ``params`` from the configured initial state, with the dark-state trap;
-    it yields (t, bloch, jumps) with bloch of shape (m, n_sites, 3) and
-    jumps the (m,) jump counts since the previous sample.
+    it yields (t, (bloch, sxx), jumps): the (m, n_sites, 3) Bloch vectors,
+    the (m,) factorized Sxx and the (m,) jumps since the previous sample.
 
     Row k draws from the Philox stream ``streams[k]`` of the seed, so it is
     bit-identical to ``run_trajectory(..., stream=streams[k])``. The run
@@ -560,7 +563,8 @@ def batch_samples(
     kernel = _DriftKernel(geometry, p)
 
     def observe(a):
-        return bloch_vectors(a).reshape(m, -1, 3)
+        bloch = bloch_vectors(a).reshape(m, -1, 3)
+        return bloch, instantaneous_structure_factor(bloch[..., 0])
 
     amps = initial_product_state(traj, geometry.n_sites)
     return row_ensemble(amps, lambda a, rng: advance(a, geometry, p, step, rng, kernel), observe,
@@ -570,8 +574,7 @@ def batch_samples(
 def trajectory_stream(geometry: LatticeGeometry, p: ModelParams, traj: TrajectoryConfig,
                       step: StepConfig = StepConfig(), stream: int = 0) -> TrajectoryStream:
     """The samples of :func:`run_trajectory`, as they are taken."""
-    path = batch_samples(geometry, [p], traj, step, [stream])
-    return TrajectoryStream(path, traj.burn_in, lambda bloch: (bloch[0], None))
+    return TrajectoryStream(batch_samples(geometry, [p], traj, step, [stream]), traj.burn_in)
 
 
 def run_trajectory(
@@ -608,4 +611,4 @@ def run_ensemble(
     ``run_trajectory(..., stream=stream + k)``.
     """
     samples = list(batch_samples(geometry, [p] * n_traj, traj, step, range(stream, stream + n_traj)))
-    return np.asarray([t for t, _, _ in samples]), np.asarray([b for _, b, _ in samples])
+    return np.asarray([t for t, _, _ in samples]), np.asarray([b for _, (b, _), _ in samples])

@@ -22,8 +22,9 @@ from .lattice import DisplacementClass, LatticeGeometry, offset_class_index
 class Sample:
     """Per-site Bloch vectors recorded at one sample time.
 
-    ``sxx_inst`` is filled by the exact engines (which know the true pair
-    expectations); when None the factorized estimate from ``bloch`` is used.
+    ``sxx_inst`` is the instantaneous k = 0 structure factor, set by every
+    engine (factorized on the manifold, exact on the others); a Sample made
+    by hand may leave it None for the factorized estimate from ``bloch``.
     """
 
     time: float
@@ -39,26 +40,30 @@ def magnetization(bloch: np.ndarray) -> np.ndarray:
     return b.mean(axis=-2)
 
 
-def instantaneous_structure_factor(sx: np.ndarray, k=(0.0, 0.0), coords=None) -> float:
+def instantaneous_structure_factor(sx: np.ndarray, k=(0.0, 0.0), coords=None):
     """Single-sample structure factor over distinct site pairs.
 
     Computes [ |sum_j e^{-i k.r_j} s_j|^2 - sum_j s_j^2 ] / (N (N-1)), which
     equals the pair sum sum_{j != l} e^{-i k.(r_j - r_l)} s_j s_l / (N(N-1)).
-    For k != 0 the site coordinate array (N, 2) is required.
+    For k != 0 the site coordinate array (N, 2) is required. An (m, N) array
+    gives each row's value as the row alone would; one site, no pair, gives 0.
     """
     sx = np.asarray(sx, dtype=float)
     n = sx.shape[-1]
-    if n < 2:
-        raise InsufficientDataError("structure factor needs at least 2 sites")
+    if n < 2:  # no pair
+        return 0.0 if sx.ndim == 1 else np.zeros(sx.shape[:-1])
     kx, ky = float(k[0]), float(k[1])
     if kx == 0.0 and ky == 0.0:
         total = sx.sum(axis=-1)
-        return float((total * total - (sx * sx).sum(axis=-1)) / (n * (n - 1)))
-    if coords is None:
+        pairs = total * total
+    elif coords is None:
         raise ValueError("site coordinates required for k != 0")
-    phase = np.exp(-1j * (coords[:, 0] * kx + coords[:, 1] * ky))
-    amp = (phase * sx).sum(axis=-1)
-    return float(((amp * np.conj(amp)).real - (sx * sx).sum(axis=-1)) / (n * (n - 1)))
+    else:
+        phase = np.exp(-1j * (coords[:, 0] * kx + coords[:, 1] * ky))
+        amp = (phase * sx).sum(axis=-1)
+        pairs = (amp * np.conj(amp)).real
+    value = (pairs - (sx * sx).sum(axis=-1)) / (n * (n - 1))
+    return float(value) if sx.ndim == 1 else value
 
 
 N_BATCHES = 20
@@ -95,8 +100,8 @@ class StructureFactorEstimate:
 def structure_factor(samples) -> StructureFactorEstimate:
     """Steady-state k = 0 structure factor averaged over post-burn-in samples.
 
-    Uses each sample's exact instantaneous value when the engine provided one,
-    otherwise the factorized per-sample estimate. Error bar by batch means.
+    Uses each sample's ``sxx_inst``, or the factorized estimate of a sample
+    without one. Error bar by batch means.
     """
     inst = [
         instantaneous_structure_factor(s.bloch[:, 0]) if s.sxx_inst is None else s.sxx_inst

@@ -134,12 +134,15 @@ def pair_xx_expectations(psi: np.ndarray, n: int) -> np.ndarray:
     flip, _ = _up_tables(n)
     flipped = psi[..., flip]  # (..., n, dim)
     gram = np.einsum("...id,...jd->...ij", np.conj(flipped), flipped)
-    return gram.real
+    return np.ascontiguousarray(gram.real)  # a strided (rows, n, n) stack sums in another order than each matrix
 
 
 def structure_factor_from_pairs(xx: np.ndarray) -> np.ndarray:
-    """k = 0 structure factor from a pair-expectation matrix (distinct pairs)."""
+    """k = 0 structure factor from a pair-expectation matrix (distinct pairs),
+    one per matrix of a (..., n, n) stack; 0 on one site, which has no pair."""
     n = xx.shape[-1]
+    if n < 2:
+        return np.zeros(xx.shape[:-2])
     return (xx.sum(axis=(-2, -1)) - np.trace(xx, axis1=-2, axis2=-1)) / (n * (n - 1))
 
 
@@ -249,11 +252,11 @@ class DenseLindblad:
         def advance(rho, k):
             return self.integrate(rho, k * step.dt, dt=step.dt), np.zeros(1, dtype=np.int64)
 
-        def view(rho):
-            return self.site_bloch(rho), float(structure_factor_from_pairs(self.pair_xx(rho))) if self.n > 1 else 0.0
+        def observe(rho):
+            return self.site_bloch(rho)[None], structure_factor_from_pairs(self.pair_xx(rho)[None])
 
         rho0 = product_density(initial_product_state(traj, self.n))
-        return TrajectoryStream(SamplePath(rho0, advance, lambda rho: rho, traj, step), traj.burn_in, view)
+        return TrajectoryStream(SamplePath(rho0, advance, observe, traj, step), traj.burn_in)
 
 
 # -- full-Hilbert-space trajectories -------------------------------------------
@@ -316,11 +319,12 @@ class FullWfmc:
     def _path(self, traj: TrajectoryConfig, step: StepConfig, streams) -> SamplePath:
         """:func:`gwmc.dynamics.row_ensemble` from the configured initial
         product state, row k on Philox stream ``streams[k]``; each sample
-        observes (bloch, pair_xx), of shapes (rows, n, 3) and (rows, n, n)."""
+        observes (bloch, sxx, pair_xx), of shapes (rows, n, 3), (rows,), (rows, n, n)."""
         rows = len(streams)
 
         def observe(x):
-            return [f(x, self.n).reshape(rows, self.n, -1) for f in (pauli_expectations, pair_xx_expectations)]
+            xx = pair_xx_expectations(x, self.n).reshape(rows, self.n, self.n)
+            return pauli_expectations(x, self.n).reshape(rows, self.n, 3), structure_factor_from_pairs(xx), xx
 
         psi = product_state_vector(initial_product_state(traj, self.n))
         return row_ensemble(psi, lambda x, rng: self.advance(x, step, rng), observe, traj, step, streams)
@@ -329,13 +333,7 @@ class FullWfmc:
 def full_wfmc_stream(geometry: LatticeGeometry, p: ModelParams, traj: TrajectoryConfig,
                      step: StepConfig = StepConfig(), stream: int = 0) -> TrajectoryStream:
     """The samples of :func:`full_wfmc_trajectory`, as they are taken."""
-    engine = FullWfmc(geometry, p)
-
-    def view(observed):
-        bloch, xx = observed
-        return bloch[0], float(structure_factor_from_pairs(xx[0])) if engine.n > 1 else 0.0
-
-    return TrajectoryStream(engine._path(traj, step, [stream]), traj.burn_in, view)
+    return TrajectoryStream(FullWfmc(geometry, p)._path(traj, step, [stream]), traj.burn_in)
 
 
 def full_wfmc_trajectory(
@@ -367,9 +365,8 @@ def full_wfmc_ensemble(
     (T, n_traj, n, n); averaging the per-trajectory values reproduces the
     master-equation expectations up to Monte Carlo error.
     """
-    engine = FullWfmc(geometry, p)
-    times, observed, _ = zip(*engine._path(traj, step, range(stream, stream + n_traj)))
-    blochs, pairs = zip(*observed)
+    times, observed, _ = zip(*FullWfmc(geometry, p)._path(traj, step, range(stream, stream + n_traj)))
+    blochs, _, pairs = zip(*observed)
     return np.asarray(times), np.asarray(blochs), np.asarray(pairs)
 
 

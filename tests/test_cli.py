@@ -5,16 +5,16 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gwmc import dynamics, oracle
-from gwmc.cli import (COMMANDS, ENGINES, RunConfig, SweepConfig, _base_meta, _fmt, build_parser, main, parse_kv_file,
-                      run_sweep)
-from gwmc.dynamics import run_trajectory
+from gwmc.cli import (COMMANDS, ENGINES, RunConfig, SweepConfig, _base_meta, _fmt, _sweep_task, build_parser, main,
+                      parse_kv_file, run_sweep)
+from gwmc.dynamics import batch_samples, run_trajectory
 from gwmc.errors import ConfigError, NumericsError
 from gwmc.lattice import build_lattice
 from gwmc.observables import correlation_profile, instantaneous_structure_factor, magnetization
@@ -94,6 +94,13 @@ class TestRunCommand:
         assert meta["rng_algorithm"] == "philox4x64"
         assert meta["engine"] == "gutzwiller"
         assert "code_version" in meta
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_one_site_sxx_is_zero(self, tmp_path, engine):
+        # one site has no pair: every engine writes Sxx_inst 0 on every row
+        assert main(["run", *_run_args(tmp_path, "one", engine=engine, width="1", height="1")]) == 0
+        rows = (tmp_path / "one_series.csv").read_text().splitlines()[1:]
+        assert len(rows) == 31 and {r.split(",")[4] for r in rows} == {"0"}
 
     def test_byte_determinism(self, tmp_path):
         main(["run", *_run_args(tmp_path, "d1")])
@@ -398,6 +405,38 @@ class TestSweepCommand:
         assert rows[0]["sample_count"] == 51
         assert rows[0]["Sxx_stderr"] > 0
 
+    def test_task_series_are_each_rows_own_estimates(self):
+        # the task reduces all rows of a sample at once; each row's series
+        # is the per-row estimators' on that row alone, bit for bit, through
+        # the trap of the XXZ row (Jy = Jx)
+        base = RunConfig(width=3, height=2, t_total=80.0, burn_in=5.5, dt=0.05, seed=6)
+        configs = [replace(base, jy=jy) for jy in (0.9, 1.2, 1.8, 2.5)]
+        rows = [((i, 0), cfg, 7 + i) for i, cfg in enumerate(configs)]
+        series = dict(_sweep_task(rows))
+        path = batch_samples(base.geometry(), [c.model() for c in configs], base.trajectory(), base.step(),
+                             [7 + i for i in range(len(configs))])
+        kept = [bloch for t, (bloch, _), _ in path if t >= base.burn_in]
+        assert path.trapped_at[0] is not None
+        for i in range(len(configs)):
+            sxx = np.array([instantaneous_structure_factor(b[i][:, 0]) for b in kept])
+            mx_abs = np.array([abs(float(magnetization(b[i])[0])) for b in kept])
+            assert series[i, 0][0].tobytes() == sxx.tobytes()
+            assert series[i, 0][1].tobytes() == mx_abs.tobytes()
+
+    @pytest.mark.parametrize("lattice,values", [
+        pytest.param(["--param", "size"], "24,1", id="size-24-and-1"),
+        pytest.param(["--width", "1", "--height", "1"], "1.2,1.5", id="jy-on-1x1"),
+    ])
+    def test_one_site_lattice_refused_before_work(self, tmp_path, capsys, monkeypatch, lattice, values):
+        # a lattice with no pair has no structure factor to sweep: refused
+        # before the first step of any lattice, with no file written
+        steps = []
+        monkeypatch.setattr(dynamics, "advance", lambda *a, **k: steps.append(1))
+        args = _run_args(tmp_path, "s", **{"t-total": "20", "burn-in": "10"})
+        assert main(["sweep", *args, *lattice, "--values", values, "--trajectories", "2"]) == 1
+        assert capsys.readouterr().err.startswith("error: a sweep's structure factor needs at least 2 sites")
+        assert not steps and not list(tmp_path.iterdir())
+
 
 class TestCorrelateCommand:
     def test_frozen_plus_x_input(self, tmp_path):
@@ -563,8 +602,8 @@ class TestStreaming:
             assert meta.get("trapped_at") == (None if result.trapped_at is None else _fmt(result.trapped_at))
             assert ("trapped_at" in meta) == ("jx" in over)
         lines = ["time,Mx,My,Mz,Sxx_inst,jumps_this_interval"]
-        for s in samples:  # every case has at least 2 sites
-            sxx = instantaneous_structure_factor(s.bloch[:, 0]) if s.sxx_inst is None else s.sxx_inst
+        for s in samples:  # every case has at least 2 sites; the manifold's Sxx is factorized
+            sxx = instantaneous_structure_factor(s.bloch[:, 0]) if engine == "gutzwiller" else s.sxx_inst
             lines.append(",".join([_fmt(s.time), *map(_fmt, magnetization(s.bloch)), _fmt(sxx),
                                    str(int(s.jumps_in_interval))]))
         assert (tmp_path / "st_series.csv").read_text() == "\n".join(lines) + "\n"

@@ -23,6 +23,7 @@ from gwmc.dynamics import (
     trajectory_stream,
 )
 from gwmc.lattice import build_lattice
+from gwmc.observables import instantaneous_structure_factor
 from gwmc.state import (
     bloch_vectors,
     down_state,
@@ -631,9 +632,9 @@ class TestSamplePath:
 class TestBatchSamples:
     def test_row_streams_match_solo_trajectories(self):
         # rows with mixed Jy, each on its own Philox stream: row k must equal
-        # solo trajectory k bit for bit, through the trap of the XXZ row
-        # (Jy = Jx) and the jumps after the last sample (t_total is off the
-        # sampling cadence)
+        # solo trajectory k bit for bit, Bloch vectors and Sxx, through the
+        # trap of the XXZ row (Jy = Jx) and the jumps after the last sample
+        # (t_total is off the sampling cadence)
         g = build_lattice(2, 2)
         step = StepConfig(dt=0.05)
         traj = TrajectoryConfig(t_total=60.5, burn_in=0.0, sample_interval=1.0, seed=8)
@@ -644,17 +645,35 @@ class TestBatchSamples:
         solos = [run_trajectory(g, p, traj, step, stream=k) for k, p in enumerate(params)]
         for k, solo in enumerate(solos):
             assert len(solo.samples) == len(batch)
-            for sample, (t, bloch, jumps) in zip(solo.samples, batch):
+            for sample, (t, (bloch, sxx), jumps) in zip(solo.samples, batch):
                 assert sample.time == t
                 assert sample.bloch.tobytes() == bloch[k].tobytes()
+                assert sample.sxx_inst == sxx[k]
                 assert sample.jumps_in_interval == jumps[k]
             assert solo.total_jumps == totals[k]
-            trapped = [t for t, bloch, _ in batch if is_dark(bloch[k])]
+            trapped = [t for t, (bloch, _), _ in batch if is_dark(bloch[k])]
             assert solo.trapped_at == (trapped[0] if trapped else None) == path.trapped_at[k]
         # the case covers a trapped row, a jumping row and jumps in the tail
         assert solos[0].trapped_at is not None and solos[2].trapped_at is None
         assert solos[2].total_jumps > 0
         assert totals.sum() > sum(int(jumps.sum()) for _, _, jumps in batch)
+
+    @pytest.mark.parametrize("rows", [1, 3, 12])
+    @pytest.mark.parametrize("width,height", [(1, 1), (2, 1), (3, 2), (6, 6), (32, 32)])
+    def test_row_sxx_is_the_estimator_of_its_row(self, width, height, rows):
+        # one estimator call per sample gives each row's Sxx as the call on
+        # that row alone would, bit for bit; one site has no pair, so 0
+        params = [ModelParams(0.9, 1.0 + 0.1 * k, 1.0) for k in range(rows)]
+        traj = TrajectoryConfig(t_total=2.0, sample_interval=0.5, seed=3)
+        samples = 0
+        for _, (bloch, sxx), _ in batch_samples(build_lattice(width, height), params, traj, StepConfig(dt=0.05),
+                                                range(rows)):
+            alone = np.array([instantaneous_structure_factor(b[:, 0]) for b in bloch])
+            assert sxx.shape == (rows,) and sxx.tobytes() == alone.tobytes()
+            samples += 1
+        assert samples == 5
+        if width * height == 1:
+            assert not sxx.any()
 
     def test_rows_share_gamma(self):
         rows = [P_FERRO, ModelParams(0.9, 1.2, 1.0, gamma=0.5)]

@@ -24,7 +24,7 @@ from gwmc.oracle import (
     site_operator,
     structure_factor_from_pairs,
 )
-from gwmc.observables import Sample
+from gwmc.observables import Sample, StructureFactorEstimate, structure_factor
 from gwmc.state import bloch_vectors, plus_x_state
 
 P_FERRO = ModelParams(0.9, 1.2, 1.0)
@@ -472,6 +472,31 @@ class TestSharedDriver:
         assert isinstance(samples, TrajectoryStream)
         assert len(samples) == len(list(samples)) == 5
         assert samples.trapped_at is None
+
+    def test_full_space_row_sxx_matches_solo(self):
+        # each row's exact Sxx in a full-space ensemble observation is its
+        # solo trajectory's sxx_inst, bit for bit (a 4-site stack of pair
+        # matrices must reduce per matrix as each matrix alone)
+        g = build_lattice(2, 2)
+        traj = TrajectoryConfig(t_total=4.0, sample_interval=0.5, seed=5)
+        n, first = 12, 3
+        rows = [sxx for _, (_, sxx, _), _ in FullWfmc(g, P_FERRO)._path(traj, StepConfig(), range(first, first + n))]
+        for k in range(n):
+            solo = full_wfmc_trajectory(g, P_FERRO, traj, StepConfig(), stream=first + k)
+            assert [s.sxx_inst for s in solo.samples] == [float(sxx[k]) for sxx in rows]
+
+    def test_one_site_structure_factor_is_zero_on_every_engine(self):
+        # one site has no pair: every engine's samples carry Sxx 0, so the
+        # estimate is 0 +- 0 (the manifold engine used to raise here)
+        g = build_lattice(1, 1)
+        traj = TrajectoryConfig(t_total=20.0, burn_in=2.0, seed=4)
+        streams = {
+            "gutzwiller": run_trajectory(g, P_FERRO, traj).samples,
+            "fullwfmc": full_wfmc_trajectory(g, P_FERRO, traj).samples,
+            "exact": DenseLindblad(g, P_FERRO).iter_samples(traj, StepConfig()),
+        }
+        for engine, samples in streams.items():
+            assert structure_factor(samples) == StructureFactorEstimate(0.0, 0.0, 19), engine
 
 
 class TestOracleReport:

@@ -12,14 +12,16 @@ in the dark state, ``run --engine fullwfmc`` and ``--engine exact`` on 2x1,
 t_total of 20.5 ends half a sample interval after the last sample: ``run``
 on 4x4 and ``run --engine fullwfmc`` on 2x1, whose metas count the jumps
 of those steps, and ``sweep`` on 4x4, ``run --engine exact`` on 2x1 and
-``correlate`` on 4x4, which take none of them. Then ``mf-curve`` on its
-default grid, a size sweep over 2x2 and 3x3 at one trajectory (the
-``averaging = time`` batch-means path), ``correlate`` on 6x6, and two
-lines on 4x4 that keep exactly two samples, the fewest a time average
-takes (``--t-total 20 --burn-in 19``): ``correlate`` and a one-trajectory
-sweep over two points. Compares the exit code, stdout and every file
-written; names each command line that differs and exits 1 if any does, or
-if a command fails in both trees.
+``correlate`` on 4x4, which take none of them; on the same tail, ``run``
+on 1x1 with each of the three engines, which pins each engine's one-site
+rule (Sxx 0, no pair). Then ``mf-curve`` on its default grid, a size
+sweep over 2x2 and 3x3 at one trajectory (the ``averaging = time``
+batch-means path), ``correlate`` on 6x6, and two lines on 4x4 that keep
+exactly two samples, the fewest a time average takes (``--t-total 20
+--burn-in 19``): ``correlate`` and a one-trajectory sweep over two points.
+Compares the exit code, stdout and every file written; names each command
+line that differs and exits 1 if any does, or if a command fails in both
+trees.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ def command_lines(seed: int):
     yield ["sweep", "--width", "4", "--height", "4", "--values", "1.0,1.2", "--trajectories", "2", *off]
     yield ["run", "--engine", "exact", "--width", "2", "--height", "1", *off]
     yield ["correlate", "--width", "4", "--height", "4", *off]
+    for engine in ("gutzwiller", "fullwfmc", "exact"):
+        yield ["run", "--engine", engine, "--width", "1", "--height", "1", *off]
     yield ["mf-curve"]
     short = ["--jy", "1.2", "--t-total", "20", "--burn-in", "2", *tail]
     yield ["sweep", "--param", "size", "--values", "2,3", "--trajectories", "1", *short]
