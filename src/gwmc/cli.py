@@ -23,6 +23,7 @@ from .dynamics import (
     RngStream,
     StepConfig,
     TrajectoryConfig,
+    _check_jump_ceiling,
     batch_samples,
     cadence,
     trajectory_stream,
@@ -271,10 +272,10 @@ def run_sweep(sweep: SweepConfig):
     """Run every (point, trajectory) row and aggregate per point.
 
     Rows that share a lattice form one group (a jy sweep is one group, a size
-    sweep one per size); each group is split into at most ``workers``
-    contiguous chunks, one batch each. Row (i, k) owns stream i*T + k, so it
-    is bit-identical to the solo trajectory on that stream and results do not
-    depend on the chunking; each row's series is read back by its key.
+    sweep one per size); row r of a group goes to chunk r mod ``workers``, one
+    batch each. Row (i, k) owns stream i*T + k, so it is bit-identical to the
+    solo trajectory on that stream and results do not depend on the chunking;
+    each row's series is read back by its key.
     """
     workers = sweep.base.workers
     configs = [sweep.point_config(value) for value in sweep.values]
@@ -285,8 +286,7 @@ def run_sweep(sweep: SweepConfig):
     chunks = []
     for group in groups.values():
         n_chunks = min(workers, len(group))
-        bounds = [len(group) * c // n_chunks for c in range(n_chunks + 1)]
-        chunks.extend(group[a:b] for a, b in zip(bounds, bounds[1:]))
+        chunks.extend(group[c::n_chunks] for c in range(n_chunks))
     pool_size = min(workers, len(chunks))  # a fork pool starts all its workers at once
     if pool_size > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pooled sweep pays for its import
@@ -440,7 +440,10 @@ def main(argv=None) -> int:
                     text[key] = value
                     break
         own = {k: _convert(k, _KINDS[k], v) for k, v in text.items() if k not in _RUN_FIELDS}
-        return handler(RunConfig.from_mapping(text), **own)
+        cfg = RunConfig.from_mapping(text)
+        if "dt" in COMMANDS[args.command] and cfg.engine != "exact":  # it steps first-order jumps
+            _check_jump_ceiling(cfg.gamma, cfg.dt)
+        return handler(cfg, **own)
     except (ConfigError, InsufficientDataError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -11,8 +11,8 @@ where B_i^alpha sums the Bloch vectors of the nearest neighbors of i. The
 drift is integrated with classical RK4, recomputing the mean fields from the
 intermediate state at every stage (Jacobi-style: all sites see the same stage
 snapshot), and renormalizing after the full step. Decay is unraveled by
-first-order jump sampling: per step each site jumps to the down state with
-probability gamma * dt * |amp_up|^2, drawn in fixed site order.
+first-order jump sampling, :func:`_unravel`, the step of both trajectory
+engines: here a jumped site collapses to the down state.
 
 All state-level functions accept leading batch dimensions, so m
 trajectories on one lattice are advanced as one (m, n_sites, 2) array by
@@ -325,9 +325,30 @@ def jump_probabilities(amps: np.ndarray, p: ModelParams, dt: float) -> np.ndarra
     return (p.gamma * dt) * (u.real**2 + u.imag**2)
 
 
+def _check_jump_ceiling(gamma: float, dt: float) -> None:
+    if gamma * dt > MAX_JUMP_PROB:
+        raise ConfigError(f"gamma*dt = {gamma * dt:g} exceeds max_jump_prob = {MAX_JUMP_PROB:g}")
+
+
 # the jumped indices of a jump-free step, a read-only (0, ndim) view of this
 _NO_JUMPS = np.empty((0, 32), dtype=np.intp)
 _NO_JUMPS.flags.writeable = False
+
+
+def _unravel(state, gamma: float, step: StepConfig, probs: np.ndarray, rng, collapse, drift):
+    """The first-order unraveling step of both trajectory engines (Dalibard,
+    Castin & Molmer, PRL 68, 580 (1992)). Each row draws one uniform per site
+    from its stream, in site order; a site jumps if it is below ``probs``,
+    gamma * dt * <n_up> before the step. ``collapse(state, jumped)`` applies
+    the jumps, then ``drift(state, jumped or None)`` takes the renormalized
+    RK4 step. The one rule the engines differ in: a manifold site that jumped
+    holds through the rest of its step (the masked drift), a full-space state
+    drifts whole. Returns (new state, a (site,) or (row, site) per jump)."""
+    _check_jump_ceiling(gamma, step.dt)
+    jumped = rng.random(size=probs.shape) < probs
+    if jumped.any():
+        return drift(collapse(state, jumped), jumped), np.argwhere(jumped)
+    return drift(state, None), _NO_JUMPS[:, :jumped.ndim]
 
 
 def advance(
@@ -338,23 +359,17 @@ def advance(
     rng: np.random.Generator,
     kernel: _DriftKernel | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One full time step: jump sampling from the pre-step state, collapses,
-    then the masked drift step (through ``kernel``, as in
-    :func:`deterministic_step`). Returns (new state, jumped index array).
+    """One :func:`_unravel` step: a jumped site collapses to the down state
+    and holds, the others take :func:`deterministic_step`'s masked drift."""
+    def collapse(a, jumped):
+        a = a.copy()
+        a[jumped, :] = (0.0, 1.0)
+        return a
 
-    The jumped indices have one row per event: (site,) for a single state,
-    (trajectory, site) for a batch.
-    """
-    if p.gamma * step.dt > MAX_JUMP_PROB:
-        raise ConfigError(f"gamma*dt = {p.gamma * step.dt:g} exceeds max_jump_prob = {MAX_JUMP_PROB:g}")
-    probs = jump_probabilities(amps, p, step.dt)
-    draws = rng.random(size=probs.shape)
-    jumped = draws < probs
-    if jumped.any():
-        amps = amps.copy()
-        amps[jumped, :] = (0.0, 1.0)
-        return deterministic_step(amps, geometry, p, step.dt, active=~jumped, kernel=kernel), np.argwhere(jumped)
-    return deterministic_step(amps, geometry, p, step.dt, kernel=kernel), _NO_JUMPS[:, :jumped.ndim]
+    def drift(a, jumped):
+        return deterministic_step(a, geometry, p, step.dt, None if jumped is None else ~jumped, kernel)
+
+    return _unravel(amps, p.gamma, step, jump_probabilities(amps, p, step.dt), rng, collapse, drift)
 
 
 def initial_product_state(traj: TrajectoryConfig, n_sites: int) -> np.ndarray:

@@ -24,13 +24,13 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import (
-    MAX_JUMP_PROB,
     ModelParams,
     SamplePath,
     StepConfig,
     TrajectoryConfig,
     TrajectoryResult,
     TrajectoryStream,
+    _unravel,
     initial_product_state,
     row_ensemble,
     run_ensemble,
@@ -263,9 +263,8 @@ class DenseLindblad:
 
 class FullWfmc:
     """Unrestricted trajectory engine: exact non-Hermitian drift plus exact
-    sitewise jump operators, same stepping contract as the manifold engine
-    (first-order jump sampling from the pre-step state, one uniform per site
-    in fixed site order, RK4 drift for the no-jump part, renormalization)."""
+    sitewise jump operators, stepped by the manifold engine's unraveling
+    (:func:`gwmc.dynamics._unravel`)."""
 
     def __init__(self, geometry: LatticeGeometry, p: ModelParams):
         _check_cap(geometry.n_sites)
@@ -299,22 +298,20 @@ class FullWfmc:
     def apply_jump(self, psi: np.ndarray, site: int) -> np.ndarray:
         return self._renorm(np.where(self.up[site], 0.0, psi[..., self.flip[site]]))
 
+    def _collapse(self, psi: np.ndarray, jumped: np.ndarray) -> np.ndarray:
+        psi = psi.copy()
+        for site in range(self.n):
+            rows = jumped[..., site]
+            if rows.any():  # a 0-d mask gives one state vector an axis
+                psi[rows] = self.apply_jump(psi[rows], site)
+        return psi
+
     def advance(self, psi: np.ndarray, step: StepConfig,
                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """One full time step; returns (new state, jumped index array) as
-        :func:`gwmc.dynamics.advance` does."""
-        if self.p.gamma * step.dt > MAX_JUMP_PROB:
-            raise ConfigError(f"gamma*dt = {self.p.gamma * step.dt:g} exceeds max_jump_prob = {MAX_JUMP_PROB:g}")
-        probs = self.jump_probabilities(psi, step.dt)
-        draws = rng.random(size=probs.shape)
-        jumped = draws < probs
-        if jumped.any():
-            psi = psi.copy()
-            for site in range(self.n):
-                rows = jumped[..., site]
-                if rows.any():  # a 0-d mask gives one state vector an axis
-                    psi[rows] = self.apply_jump(psi[rows], site)
-        return self._renorm(self._drift(psi, step.dt)), np.argwhere(jumped)
+        """One :func:`gwmc.dynamics._unravel` step: the jumps in site order,
+        then the whole state's drift."""
+        return _unravel(psi, self.p.gamma, step, self.jump_probabilities(psi, step.dt), rng, self._collapse,
+                        lambda x, _: self._renorm(self._drift(x, step.dt)))
 
     def _path(self, traj: TrajectoryConfig, step: StepConfig, streams) -> SamplePath:
         """:func:`gwmc.dynamics.row_ensemble` from the configured initial

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import importlib.util
 import os
 import re
@@ -68,6 +69,32 @@ class TestConfigParsing:
         bad.write_text("jy 1.5\n")
         with pytest.raises(ConfigError):
             parse_kv_file(bad)
+
+
+def _record_pool(monkeypatch):
+    """Stand in for the sweep's process pool, running the chunks here;
+    returns (the pool sizes asked for, the keys of each chunk)."""
+    import concurrent.futures
+
+    made, chunks = [], []
+
+    class Recording:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            chunks.extend([key for key, _, _ in task] for task in tasks)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return made, chunks
 
 
 def _run_args(tmp_path, name, **over):
@@ -201,6 +228,53 @@ class TestRunCommand:
         assert err.startswith("error: ") and "exceeds max_jump_prob = 0.05" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--sample-interval", "0.5", "--burn-in", "0"],
+        ["run", "--engine", "fullwfmc", "--width", "2", "--height", "1", "--sample-interval", "0.5",
+         "--burn-in", "0"],
+        ["sweep", "--values", "1.2,1.5", "--trajectories", "2", "--workers", "1", "--sample-interval", "0.5",
+         "--burn-in", "0"],
+        ["oracle-check"],
+    ], ids=["run", "run-fullwfmc", "sweep", "oracle-check"])
+    def test_jump_ceiling_refused_before_work(self, tmp_path, capsys, monkeypatch, argv):
+        # gamma * dt = 0.0625 is refused with the other bad input: no file,
+        # no step of either trajectory engine, no dense integration
+        calls = []
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        for owner, name in ((dynamics, "advance"), (oracle.FullWfmc, "advance"), (oracle.DenseLindblad, "integrate")):
+            spy(owner, name)
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--dt", "0.0625", "--t-total", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: gamma*dt = 0.0625 exceeds max_jump_prob = 0.05\n" and captured.out == ""
+        assert not calls and not list(tmp_path.iterdir())
+
+    def test_exact_engine_has_no_jump_ceiling(self, tmp_path, monkeypatch):
+        # the dense engine draws no jumps, so the ceiling does not bind it:
+        # at gamma * dt = 0.0625 it runs, and writes these bytes
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--engine", "exact", "--width", "2", "--height", "1", "--dt", "0.0625",
+                     "--t-total", "2", "--sample-interval", "0.5", "--burn-in", "0", "--out", "w"]) == 0
+        assert (tmp_path / "w_series.csv").read_text() == (
+            "time,Mx,My,Mz,Sxx_inst,jumps_this_interval\n"
+            "0,1,0,0,1,0\n"
+            "0.5,0.765701937179,-0.0165268370531,-0.388312059487,0.606530700338,0\n"
+            "1,0.572635890332,-0.043947645816,-0.603682509192,0.367879490453,0\n"
+            "1.5,0.423613319008,-0.0661230608592,-0.710419376893,0.223130204984,0\n"
+            "2,0.313142978354,-0.0791027986834,-0.754884430191,0.135335319496,0\n"
+        )
+        assert hashlib.sha256(_read(tmp_path / "w_meta.txt")).hexdigest() == (
+            "ba7d879a18752e4bfe5e561efbd77aa5eb317a26430ea935e1a8483e40fb7178")
+
     def test_old_meta_with_removed_keys_loads(self, tmp_path):
         # meta files once held max_jump_prob and workers; as --config they are ignored
         main(["run", *_run_args(tmp_path, "orig")])
@@ -330,9 +404,9 @@ class TestSweepCommand:
         ("size", "3,4", "3", "3"),
     ], ids=["jy", "size"])
     def test_worker_count_invariance(self, tmp_path, workers, param, values, trajectories, solo_workers):
-        # rows sharing a lattice run as batches of contiguous rows, one per
-        # worker (3 workers give uneven chunks); the reference runs one row
-        # per chunk, i.e. every trajectory alone
+        # rows sharing a lattice run as one batch per worker, row r in chunk
+        # r mod workers (3 workers give uneven chunks); the reference runs one
+        # row per chunk, i.e. every trajectory alone
         for name, w in (("ref", solo_workers), ("w", workers)):
             args = _run_args(tmp_path, name, workers=w) + [
                 "--param", param, "--values", values, "--trajectories", trajectories,
@@ -371,28 +445,19 @@ class TestSweepCommand:
         ("jy", "1.2,1.5", "2", "3", 3),
     ])
     def test_pool_sized_by_the_chunks(self, tmp_path, monkeypatch, param, values, trajectories, workers, pool):
-        import concurrent.futures
-
-        made = []
-
-        class Recording:  # stands in for the process pool, and runs the chunks here
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, chunks):
-                return map(fn, chunks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        made, _ = _record_pool(monkeypatch)
         args = _run_args(tmp_path, "p", width="2", height="2", workers=workers, **{"t-total": "12", "burn-in": "2"})
         assert main(["sweep", *args, "--param", param, "--values", values, "--trajectories", trajectories]) == 0
         assert made == ([] if pool is None else [pool])
         assert parse_kv_file(tmp_path / "p_meta.txt")["workers"] == workers
+
+    def test_chunks_interleave_the_rows(self, tmp_path, monkeypatch):
+        # row r of a lattice group goes to chunk r mod workers: the two
+        # trajectories of each point run in different chunks
+        made, chunks = _record_pool(monkeypatch)
+        args = _run_args(tmp_path, "i", width="2", height="2", workers="2", **{"t-total": "12", "burn-in": "2"})
+        assert main(["sweep", *args, "--values", "1.0,1.2", "--trajectories", "2"]) == 0
+        assert made == [2] and chunks == [[(0, 0), (1, 0)], [(0, 1), (1, 1)]]
 
     def test_single_trajectory_uses_batch_means(self, tmp_path):
         sweep = SweepConfig(

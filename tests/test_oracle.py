@@ -4,7 +4,7 @@ import pytest
 from conftest import random_product_state
 from gwmc.errors import ConfigError, NumericsError
 from gwmc.dynamics import ModelParams, RngStream, StepConfig, TrajectoryConfig, TrajectoryStream, run_trajectory
-from gwmc import oracle
+from gwmc import dynamics, oracle
 from gwmc.lattice import build_lattice
 from gwmc.oracle import (
     DenseLindblad,
@@ -410,6 +410,63 @@ class TestFullWfmc:
             ):
                 se = vals.std(ddof=1) / np.sqrt(len(vals))
                 assert abs(vals.mean() - exact) < 3.5 * se
+
+
+class _SpyDraws:
+    """Stand-in rng: records the size of each draw and returns ones (no
+    site jumps), or a zero at the index ``plant`` (that site jumps)."""
+
+    def __init__(self, plant=None):
+        self.sizes, self.plant = [], plant
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        draws = np.ones(size)
+        if self.plant is not None:
+            draws[self.plant] = 0.0
+        return draws
+
+
+def _unraveled_batch(engine, rows=2):
+    """(one-step advance(state, rng), plus_x state of ``rows`` rows, sites)
+    of the manifold engine on 3x2 or the full-space engine on 2x2."""
+    if engine == "manifold":
+        g = build_lattice(3, 2)
+        state = np.broadcast_to(plus_x_state(6), (rows, 6, 2)).copy()
+        return (lambda a, rng: dynamics.advance(a, g, P_FERRO, StepConfig(), rng)), state, 6
+    full = FullWfmc(build_lattice(2, 2), P_FERRO)
+    state = np.broadcast_to(product_state_vector(plus_x_state(4)), (rows, 16)).copy()
+    return (lambda x, rng: full.advance(x, StepConfig(), rng)), state, 4
+
+
+class TestUnraveling:
+    """Both trajectory engines step by the one rule of dynamics._unravel."""
+
+    @pytest.mark.parametrize("engine", ["manifold", "full-space"])
+    def test_one_uniform_per_site_per_step_in_site_order(self, engine):
+        # the uniform at (row, site) decides that site of that row, and
+        # nothing else is drawn
+        advance_once, state, n = _unraveled_batch(engine)
+        for row in range(2):
+            for site in range(n):
+                spy = _SpyDraws(plant=(row, site))
+                _, jumped = advance_once(state, spy)
+                assert spy.sizes == [(2, n)]
+                assert jumped.tolist() == [[row, site]]
+        spy = _SpyDraws()
+        for _ in range(3):
+            state, _ = advance_once(state, spy)
+        assert spy.sizes == [(2, n)] * 3
+
+    @pytest.mark.parametrize("engine", ["manifold", "full-space"])
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_jump_free_step_returns_the_read_only_empty_view(self, engine, rows):
+        advance_once, state, _ = _unraveled_batch(engine, rows)
+        if rows == 1:
+            state = state[0]  # one state keeps no batch axis
+        _, jumped = advance_once(state, _SpyDraws())
+        assert jumped.shape == (0, 1 if rows == 1 else 2) and jumped.dtype == np.intp  # (site,) or (row, site)
+        assert not jumped.flags.writeable and jumped.base is dynamics._NO_JUMPS
 
 
 class TestSharedDriver:

@@ -2,6 +2,7 @@
 """Check that this tree's gwmc writes the same bytes as another checkout's.
 
     python3 tools/same_outputs.py PARENT_CHECKOUT [--seeds 1,7,41]
+    python3 tools/same_outputs.py --record tests/output_digests.txt
 
 Runs every command line of the byte-identity list at every seed, once with
 each tree's ``src`` on PYTHONPATH, each run in a fresh temporary directory.
@@ -22,20 +23,30 @@ exactly two samples, the fewest a time average takes (``--t-total 20
 Compares the exit code, stdout and every file written; names each command
 line that differs and exits 1 if any does, or if a command fails in both
 trees.
+
+With ``--record FILE`` it compares nothing: it writes one sha256 per command
+line and output at seed 1, under a header naming the numpy version and the
+BLAS, which ``tests/test_output_digests.py`` checks every command line
+against, run in-process.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 from run import BLAS_THREADS, CLI, COMMON, WORKLOADS  # noqa: E402  the benchmark's command lines
+
+RECORD_SEED = 1
 
 
 def command_lines(seed: int):
@@ -71,34 +82,88 @@ def command_lines(seed: int):
     yield ["sweep", "--values", "1.2,1.5", "--trajectories", "1", *two]
 
 
+def shown(argv: list[str]) -> str:
+    return "gwmc " + " ".join(argv)
+
+
+def written(work) -> dict[str, bytes]:
+    """Every file under the directory ``work``, by its relative path."""
+    return {str(p.relative_to(work)): p.read_bytes() for p in sorted(Path(work).rglob("*")) if p.is_file()}
+
+
 def outputs(tree: Path, argv: list[str]) -> dict[str, bytes]:
     """Exit code, stdout and every file one command writes, run on ``tree``'s src."""
     env = {**os.environ, **BLAS_THREADS, "PYTHONPATH": str(tree / "src")}
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as work:
         proc = subprocess.run([sys.executable, *CLI, *argv], cwd=work, env=env, capture_output=True)
-        files = {str(p.relative_to(work)): p.read_bytes() for p in sorted(Path(work).rglob("*")) if p.is_file()}
-    return {"exit code": str(proc.returncode).encode(), "stdout": proc.stdout, **files}
+        return {"exit code": str(proc.returncode).encode(), "stdout": proc.stdout, **written(work)}
+
+
+def differing(mine: dict, theirs: dict) -> list[str]:
+    """The outputs, by name, that one run has and the other lacks or holds otherwise."""
+    return sorted(name for name in mine.keys() | theirs.keys() if mine.get(name) != theirs.get(name))
+
+
+def digests(out: dict[str, bytes]) -> dict[str, str]:
+    return {name: hashlib.sha256(data).hexdigest() for name, data in out.items()}
+
+
+def platform() -> str:
+    """The numpy version and the BLAS that the digests hold for."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__}, BLAS {blas['name']} {blas['version']}"
+
+
+def record(path: Path) -> None:
+    """Write the digests of every command line at RECORD_SEED, run on this tree."""
+    lines = ["# sha256 of the exit code, stdout and each file of every command line of\n",
+             f"# tools/same_outputs.py at seed {RECORD_SEED}, written by its --record FILE\n",
+             f"# on: {platform()}\n"]
+    for argv in command_lines(RECORD_SEED):
+        lines.append(shown(argv) + "\n")
+        lines += [f"    {digest}  {name}\n" for name, digest in digests(outputs(ROOT, argv)).items()]
+    path.write_text("".join(lines))
+
+
+def read_record(path: Path) -> tuple[str, dict[str, dict[str, str]]]:
+    """(the platform the digests hold for, each command line's digests by output)."""
+    on, lines = "", {}
+    for line in path.read_text().splitlines():
+        if line.startswith("# on: "):
+            on = line[len("# on: "):]
+        elif line.startswith("    "):
+            digest, name = line.strip().split("  ", 1)
+            lines[current][name] = digest
+        elif not line.startswith("#"):
+            current = line
+            lines[current] = {}
+    return on, lines
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path, help="checkout to compare against (holding src/gwmc)")
+    parser.add_argument("parent", type=Path, nargs="?", help="checkout to compare against (holding src/gwmc)")
     parser.add_argument("--seeds", default="1,7,41", help="comma-separated seeds (default 1,7,41)")
+    parser.add_argument("--record", type=Path, metavar="FILE", help="write this tree's digests at seed 1 instead")
     args = parser.parse_args(argv)
+    if args.record:
+        record(args.record)
+        return 0
+    if args.parent is None:
+        parser.error("give a PARENT checkout to compare against, or --record FILE")
     if not (args.parent / "src" / "gwmc").is_dir():
         parser.error(f"{args.parent} holds no src/gwmc")
     failed = 0
     lines = [line for seed in map(int, args.seeds.split(",")) for line in command_lines(seed)]
     for line in lines:
         mine, theirs = outputs(ROOT, line), outputs(args.parent.resolve(), line)
-        shown = "gwmc " + " ".join(line)
-        differ = sorted(name for name in mine.keys() | theirs.keys() if mine.get(name) != theirs.get(name))
+        differ = differing(mine, theirs)
         if differ:
-            print(f"DIFFERS: {shown}\n    in: {', '.join(differ)}")
+            print(f"DIFFERS: {shown(line)}\n    in: {', '.join(differ)}")
         elif mine["exit code"] != b"0":
-            print(f"FAILS IN BOTH: {shown}")
+            print(f"FAILS IN BOTH: {shown(line)}")
         else:
-            print(f"same: {shown}")
+            print(f"same: {shown(line)}")
             continue
         failed += 1
     print(f"{len(lines) - failed} of {len(lines)} command lines the same")
