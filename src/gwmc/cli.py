@@ -13,7 +13,8 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
+from itertools import islice
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .dynamics import (
     _check_jump_ceiling,
     batch_samples,
     cadence,
+    initial_product_state,
     trajectory_stream,
 )
 from .errors import ConfigError, InsufficientDataError, NumericsError
@@ -182,8 +184,14 @@ def _write_outputs(out: str, kind: str, header: str, rows, meta) -> None:
     print(f"wrote {paths[0]} and {paths[1]}")
 
 
-def _require_samples(cfg: RunConfig, needed: int) -> None:
-    """Refuse, before the first step, fewer than ``needed`` samples at or after burn_in."""
+def _check_manifold_estimate(cfg: RunConfig, estimate: str, sites: int, needed: int) -> None:
+    """Refuse, before any file or step, a manifold estimate that cannot be
+    made: on another engine, on fewer than 2 sites (one site has no pair),
+    or from fewer than ``needed`` samples at or after burn_in."""
+    if cfg.engine != "gutzwiller":
+        raise ConfigError(f"{estimate} is taken on manifold trajectories; set engine = gutzwiller")
+    if sites < 2:
+        raise ConfigError(f"{estimate} needs at least 2 sites, got {sites}")
     kept = cadence(cfg.trajectory(), cfg.step())[2]
     if kept < needed:
         raise InsufficientDataError(f"only {kept} post-burn-in samples, need {needed}" if kept
@@ -230,6 +238,7 @@ class SweepConfig:
     param: str = "jy"  # jy | size
     values: tuple = ()
     trajectories: int = 1
+    configs: list = field(init=False)  # each point's RunConfig, in value order
 
     def __post_init__(self):
         if self.param not in ("jy", "size"):
@@ -240,20 +249,15 @@ class SweepConfig:
             raise ConfigError("trajectories must be positive")
         if self.base.workers < 1:
             raise ConfigError(f"workers must be positive, got {self.base.workers}")
-        if self.base.engine != "gutzwiller":
-            raise ConfigError("a sweep runs batched manifold trajectories; set engine = gutzwiller")
         if self.param == "size" and not all(float(v).is_integer() and v >= 1 for v in self.values):
             raise ConfigError(f"sizes must be positive integers, got {self.values}")
-        sites = min(self.values) ** 2 if self.param == "size" else self.base.width * self.base.height
-        if sites < 2:
-            raise ConfigError(f"a sweep's structure factor needs at least 2 sites per lattice, got {sites:g}")
-        _require_samples(self.base, 2 if self.trajectories == 1 else 1)  # a time average needs 2
-
-    def point_config(self, value) -> RunConfig:
-        if self.param == "jy":
-            return replace(self.base, jy=float(value))
-        size = int(value)
-        return replace(self.base, width=size, height=size)
+        sites = int(min(self.values)) ** 2 if self.param == "size" else self.base.width * self.base.height
+        needed = 2 if self.trajectories == 1 else 1  # a time average needs 2
+        _check_manifold_estimate(self.base, "a sweep's structure factor", sites, needed)
+        self.configs = [replace(self.base, jy=float(v)) if self.param == "jy"
+                        else replace(self.base, width=int(v), height=int(v)) for v in self.values]
+        for cfg in {(c.width, c.height): c for c in self.configs}.values():  # each task resolves it again;
+            initial_product_state(cfg.trajectory(), cfg.width * cfg.height)  # here only to refuse it early
 
 
 def _sweep_task(rows):
@@ -263,7 +267,7 @@ def _sweep_task(rows):
     keys, configs, streams = zip(*rows)
     cfg = configs[0]
     path = batch_samples(cfg.geometry(), [c.model() for c in configs], cfg.trajectory(), cfg.step(), streams)
-    kept = [(sxx, np.abs(magnetization(bloch)[:, 0])) for t, (bloch, sxx), _ in path if t >= cfg.burn_in]
+    kept = [(sxx, np.abs(magnetization(b)[:, 0])) for _, (b, sxx), _ in islice(path, path.first_kept, None)]
     sxx, mx_abs = (np.stack(series, axis=-1) for series in zip(*kept))  # (rows, samples) each
     return [(key, (s, x)) for key, s, x in zip(keys, sxx, mx_abs)]
 
@@ -278,9 +282,8 @@ def run_sweep(sweep: SweepConfig):
     each row's series is read back by its key.
     """
     workers = sweep.base.workers
-    configs = [sweep.point_config(value) for value in sweep.values]
     groups: dict[tuple[int, int], list] = {}
-    for i, cfg in enumerate(configs):
+    for i, cfg in enumerate(sweep.configs):
         group = groups.setdefault((cfg.width, cfg.height), [])
         group.extend(((i, k), cfg, i * sweep.trajectories + k) for k in range(sweep.trajectories))
     chunks = []
@@ -298,7 +301,7 @@ def run_sweep(sweep: SweepConfig):
     series = dict(row for chunk in done for row in chunk)  # (point, trajectory) -> (Sxx, |Mx|)
 
     rows = []
-    for i, cfg in enumerate(configs):
+    for i, cfg in enumerate(sweep.configs):
         sxx_all, mx_all = zip(*(series[i, k] for k in range(sweep.trajectories)))
         n_samples = int(sum(len(s) for s in sxx_all))
         if sweep.trajectories == 1:
@@ -328,11 +331,7 @@ def cmd_sweep(cfg: RunConfig, **keys) -> int:
 # -- correlate ---------------------------------------------------------------
 
 def cmd_correlate(cfg: RunConfig) -> int:
-    if cfg.engine != "gutzwiller":
-        raise ConfigError("the correlation profile uses the factorized estimator; set engine = gutzwiller")
-    if cfg.width * cfg.height < 2:
-        raise ConfigError(f"a correlation profile needs at least 2 sites, got {cfg.width}x{cfg.height}")
-    _require_samples(cfg, 2)  # for the batch-means errors
+    _check_manifold_estimate(cfg, "a correlation profile", cfg.width * cfg.height, 2)  # for the batch-means errors
     geometry = cfg.geometry()
     samples = trajectory_stream(geometry, cfg.model(), cfg.trajectory(), cfg.step())
     profile = None
@@ -380,9 +379,12 @@ def _parse_values(raw: str):
     if any(not v.strip() for v in entries):
         raise ConfigError(f"value list {raw!r} has an empty entry")
     try:
-        return tuple(float(v) for v in entries)
+        values = tuple(float(v) for v in entries)
     except ValueError as err:
         raise ConfigError(f"bad value list {raw!r}: {err}") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"value list {raw!r} has a non-finite entry")
+    return values
 
 
 _RUN_FIELDS = tuple(f.name for f in fields(RunConfig))

@@ -20,7 +20,7 @@ trajectories on one lattice are advanced as one (m, n_sites, 2) array by
 (:class:`RowStreams`). :class:`SamplePath` is the one step-and-sample
 loop, for this engine and for the exact references in :mod:`gwmc.oracle`,
 iterated once; it keeps its run's record, each row's jump total and trap
-time, and :func:`cadence` counts its post-burn-in samples up front. Every
+time, and ``first_kept``, from :func:`cadence`'s post-burn-in count. Every
 engine observes the per-row record (bloch, sxx, ...): Bloch vectors and the
 k = 0 structure factor, factorized here and exact in the references.
 :func:`row_ensemble` sets up its trajectory rows. Each trajectory is a
@@ -404,19 +404,16 @@ class TrajectoryResult:
     trapped_at: float | None
     total_jumps: int
 
-    def post_burn_in(self) -> list[Sample]:
-        return [s for s in self.samples if not s.burn_in]
-
 
 class TrajectoryStream:
     """One trajectory's Samples, made as it is iterated (once) and kept
     nowhere: row 0's Bloch vectors and Sxx from each observation of the
-    one-row SamplePath ``path``, with time, burn-in flag and jump count.
-    ``trapped_at`` is the path's; :meth:`finish` steps to the horizon for
-    the jump total."""
+    one-row SamplePath ``path``, with time, jump count and the burn-in flag
+    of a sample before the path's ``first_kept``. ``trapped_at`` is the
+    path's; :meth:`finish` steps to the horizon for the jump total."""
 
-    def __init__(self, path: SamplePath, burn_in: float):
-        self._path, self._burn_in = path, burn_in
+    def __init__(self, path: SamplePath):
+        self._path = path
 
     def __len__(self) -> int:
         return len(self._path)
@@ -429,8 +426,8 @@ class TrajectoryStream:
         return int(self._path.finish()[0])
 
     def __iter__(self):
-        for t, (bloch, sxx, *_), jumps in self._path:
-            yield Sample(t, bloch[0], burn_in=t < self._burn_in, jumps_in_interval=int(jumps[0]),
+        for j, (t, (bloch, sxx, *_), jumps) in enumerate(self._path):
+            yield Sample(t, bloch[0], burn_in=j < self._path.first_kept, jumps_in_interval=int(jumps[0]),
                          sxx_inst=float(sxx[0]))
 
 
@@ -483,7 +480,8 @@ class SamplePath:
     jump counts); ``observe(state)`` gives what a sample records, per-row
     arrays (bloch, sxx, ...) that start with shapes (rows, n_sites, 3) and
     (rows,). Iterating yields ``len()`` tuples (t, observation, jumps since
-    the previous sample) at t = 0 and every sample_interval, once.
+    the previous sample) at t = 0 and every sample_interval, once; those
+    from index ``first_kept`` on are post-burn-in, by :func:`cadence`.
 
     With ``trap`` a row whose sample is the all-down dark state is trapped:
     the dark state is exact, so its record freezes at that sample,
@@ -495,7 +493,8 @@ class SamplePath:
 
     def __init__(self, state, advance, observe, traj: TrajectoryConfig, step: StepConfig,
                  rows: int = 1, trap: bool = False):
-        self.spp, self.n_steps, _ = cadence(traj, step)
+        self.spp, self.n_steps, kept = cadence(traj, step)
+        self.first_kept = len(self) - kept  # the kept samples are the last `kept`
         self.dt = step.dt
         self.state, self._advance, self._observe, self._trap = state, advance, observe, trap
         self.n, self._started = 0, False
@@ -589,7 +588,7 @@ def batch_samples(
 def trajectory_stream(geometry: LatticeGeometry, p: ModelParams, traj: TrajectoryConfig,
                       step: StepConfig = StepConfig(), stream: int = 0) -> TrajectoryStream:
     """The samples of :func:`run_trajectory`, as they are taken."""
-    return TrajectoryStream(batch_samples(geometry, [p], traj, step, [stream]), traj.burn_in)
+    return TrajectoryStream(batch_samples(geometry, [p], traj, step, [stream]))
 
 
 def run_trajectory(

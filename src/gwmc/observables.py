@@ -108,8 +108,6 @@ def structure_factor(samples) -> StructureFactorEstimate:
         for s in samples
         if not s.burn_in
     ]
-    if len(inst) < 2:
-        raise InsufficientDataError(f"only {len(inst)} post-burn-in samples")
     value, se = batch_means(np.asarray(inst))
     return StructureFactorEstimate(value, se, len(inst))
 

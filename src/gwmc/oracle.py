@@ -256,7 +256,7 @@ class DenseLindblad:
             return self.site_bloch(rho)[None], structure_factor_from_pairs(self.pair_xx(rho)[None])
 
         rho0 = product_density(initial_product_state(traj, self.n))
-        return TrajectoryStream(SamplePath(rho0, advance, observe, traj, step), traj.burn_in)
+        return TrajectoryStream(SamplePath(rho0, advance, observe, traj, step))
 
 
 # -- full-Hilbert-space trajectories -------------------------------------------
@@ -330,7 +330,7 @@ class FullWfmc:
 def full_wfmc_stream(geometry: LatticeGeometry, p: ModelParams, traj: TrajectoryConfig,
                      step: StepConfig = StepConfig(), stream: int = 0) -> TrajectoryStream:
     """The samples of :func:`full_wfmc_trajectory`, as they are taken."""
-    return TrajectoryStream(FullWfmc(geometry, p)._path(traj, step, [stream]), traj.burn_in)
+    return TrajectoryStream(FullWfmc(geometry, p)._path(traj, step, [stream]))
 
 
 def full_wfmc_trajectory(

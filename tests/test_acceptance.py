@@ -120,7 +120,7 @@ def _ferro_run(initial_state):
     traj = TrajectoryConfig(t_total=2000.0, burn_in=200.0, seed=1, initial_state=initial_state)
     res = run_trajectory(geometry, P_FERRO, traj)
     est = structure_factor(res.samples)
-    mx = np.array([magnetization(s.bloch)[0] for s in res.post_burn_in()])
+    mx = np.array([magnetization(s.bloch)[0] for s in res.samples if not s.burn_in])
     return est, mx
 
 

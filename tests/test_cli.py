@@ -12,11 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import CADENCE_CASES
 from gwmc import dynamics, oracle
 from gwmc.cli import (COMMANDS, ENGINES, RunConfig, SweepConfig, _base_meta, _fmt, _sweep_task, build_parser, main,
                       parse_kv_file, run_sweep)
-from gwmc.dynamics import batch_samples, run_trajectory
-from gwmc.errors import ConfigError, NumericsError
+from gwmc.dynamics import batch_samples, run_trajectory, trajectory_stream
+from gwmc.errors import ConfigError, InsufficientDataError, NumericsError
 from gwmc.lattice import build_lattice
 from gwmc.observables import correlation_profile, instantaneous_structure_factor, magnetization
 from gwmc.state import down_state, plus_x_state, save_state_csv
@@ -369,6 +370,35 @@ class TestSweepCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["sweep", "mf-curve"])
+    @pytest.mark.parametrize("values", ["1.2,nan", "1.2,inf"])
+    def test_non_finite_value_refused_before_any_file(self, tmp_path, capsys, command, values):
+        # the list parser refuses it, so the unwritable --out is never tried
+        out = str(tmp_path / "missing" / "x")
+        args = _run_args(tmp_path, "s", out=out) if command == "sweep" else ["--out", out]
+        assert main([command, *args, "--values", values]) == 1
+        assert capsys.readouterr().err.startswith(f"error: value list '{values}' has a non-finite entry")
+        assert not list(tmp_path.iterdir())
+
+    def test_size_sweep_snapshot_refused_before_work(self, tmp_path, capsys, monkeypatch):
+        # each lattice's initial state is resolved before the files open: the
+        # 16-site snapshot fits the 4x4 lattice, not the 6x6 one
+        snapshot = tmp_path / "init.csv"
+        save_state_csv(snapshot, plus_x_state(16))
+        steps = []
+        monkeypatch.setattr(dynamics, "advance", lambda *a, **k: steps.append(1))
+        args = _run_args(tmp_path, "s", **{"initial-state": str(snapshot), "t-total": "40", "burn-in": "10"})
+        assert main(["sweep", *args, "--param", "size", "--values", "4,6", "--trajectories", "2"]) == 1
+        assert capsys.readouterr().err.startswith("error: snapshot has 16 sites, geometry has 36")
+        assert not steps and [p.name for p in tmp_path.iterdir()] == ["init.csv"]
+
+    def test_missing_snapshot_named_before_the_output(self, tmp_path, capsys):
+        snapshot = tmp_path / "absent.csv"
+        args = _run_args(tmp_path, "s", out=str(tmp_path / "missing" / "x"), **{"initial-state": str(snapshot)})
+        assert main(["sweep", *args, "--values", "1.2"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read state snapshot {snapshot}")
+        assert not list(tmp_path.iterdir())
+
     def test_step_count_overflow_config_error(self, tmp_path, capsys):
         args = _run_args(tmp_path, "s", dt="1e-320") + ["--values", "1.2"]
         assert main(["sweep", *args]) == 1
@@ -488,6 +518,24 @@ class TestSweepCommand:
             assert series[i, 0][0].tobytes() == sxx.tobytes()
             assert series[i, 0][1].tobytes() == mx_abs.tobytes()
 
+    @pytest.mark.parametrize("t_total,interval,dt,burn_in,kept", CADENCE_CASES)
+    def test_task_keeps_the_samples_at_or_after_burn_in(self, t_total, interval, dt, burn_in, kept):
+        # on cadence's boundary cases the task's series is that of the
+        # samples whose own time is at or after burn_in; a run with no such
+        # sample is refused before any task
+        cfg = RunConfig(width=2, height=2, t_total=t_total, burn_in=burn_in, sample_interval=interval, dt=dt,
+                        seed=2)
+        stream = trajectory_stream(cfg.geometry(), cfg.model(), cfg.trajectory(), cfg.step())
+        want = np.array([s.sxx_inst for s in stream if s.time >= burn_in])
+        if kept is not None:
+            assert len(want) == kept
+        if not len(want):
+            with pytest.raises(InsufficientDataError, match="no sample at or after burn_in = "):
+                SweepConfig(base=cfg, values=(cfg.jy,), trajectories=2)
+            return
+        ((_, (sxx, _)),) = _sweep_task([((0, 0), cfg, 0)])
+        assert sxx.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("lattice,values", [
         pytest.param(["--param", "size"], "24,1", id="size-24-and-1"),
         pytest.param(["--width", "1", "--height", "1"], "1.2,1.5", id="jy-on-1x1"),
@@ -528,6 +576,16 @@ class TestCorrelateCommand:
     def test_requires_manifold_engine(self, tmp_path):
         args = _run_args(tmp_path, "ce", engine="exact", width="2", height="2")
         assert main(["correlate", *args]) == 1
+
+    @pytest.mark.parametrize("command,engine,estimate", [("correlate", "exact", "a correlation profile"),
+                                                         ("sweep", "fullwfmc", "a sweep's structure factor")])
+    def test_other_engine_refused_by_the_shared_check(self, tmp_path, capsys, command, engine, estimate):
+        args = _run_args(tmp_path, "e", engine=engine, width="2", height="1")
+        sweep = ["--values", "1.2,1.5"] if command == "sweep" else []
+        assert main([command, *args, *sweep]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {estimate} ") and err.rstrip().endswith("set engine = gutzwiller")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["correlate", "sweep"])
     def test_one_kept_sample_refused_before_work(self, tmp_path, capsys, monkeypatch, command):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import random_product_state
+from conftest import CADENCE_CASES, random_product_state
 from gwmc.errors import ConfigError, NumericsError
 from gwmc.dynamics import (
     ModelParams,
@@ -24,6 +24,7 @@ from gwmc.dynamics import (
 )
 from gwmc.lattice import build_lattice
 from gwmc.observables import instantaneous_structure_factor
+from gwmc.oracle import DenseLindblad, full_wfmc_stream
 from gwmc.state import (
     bloch_vectors,
     down_state,
@@ -500,7 +501,7 @@ class TestRunTrajectory:
         res = run_trajectory(g, P_FERRO, TrajectoryConfig(t_total=10.0, burn_in=5.0, seed=1))
         for s in res.samples:
             assert s.burn_in == (s.time < 5.0)
-        assert len(res.post_burn_in()) == 6  # t = 5..10
+        assert sum(not s.burn_in for s in res.samples) == 6  # t = 5..10
 
     def test_rejects_dark_initial_state(self, tmp_path):
         g = build_lattice(2, 2)
@@ -556,21 +557,22 @@ class TestRunTrajectory:
         with pytest.raises(RuntimeError, match="iterated once"):
             list(samples)
 
-    @pytest.mark.parametrize("t_total,interval,dt,burn_in,kept", [
-        (0.2, 0.01, 0.01, 0.07, 14),  # 0.07 / 0.01 rounds up past 7: a plain ceiling keeps 13
-        (0.6, 0.03, 0.03, 0.33, 9),  # 11 * 0.03 = 0.32999999999999996 is burn-in
-        (10.0, 1.0, 0.01, 0.0, 11), (10.5, 1.0, 0.01, 9.5, 1), (10.5, 1.0, 0.01, 10.2, 0),
-        (2.0, 0.3, 0.01, 0.9, None), (3.0, 0.7, 0.05, 1.4, None),
-    ])
+    @pytest.mark.parametrize("t_total,interval,dt,burn_in,kept", CADENCE_CASES)
     def test_cadence_counts_the_kept_samples(self, t_total, interval, dt, burn_in, kept):
-        # the count is known before the first step, and the stream's own
-        # burn-in flags agree with it at the boundary
+        # the count is known before the first step; each engine's stream
+        # flags its samples by it, and those flags agree with each sample's
+        # own time at the boundary
         traj = TrajectoryConfig(t_total=t_total, burn_in=burn_in, sample_interval=interval, seed=2)
-        samples = trajectory_stream(build_lattice(2, 2), P_FERRO, traj, StepConfig(dt=dt))
-        counted = sum(not s.burn_in for s in samples)
-        assert cadence(traj, StepConfig(dt=dt))[2] == counted
+        step = StepConfig(dt=dt)
+        count = cadence(traj, step)[2]
         if kept is not None:
-            assert counted == kept
+            assert count == kept
+        g = build_lattice(2, 2)
+        for stream in (trajectory_stream(g, P_FERRO, traj, step), full_wfmc_stream(g, P_FERRO, traj, step),
+                       DenseLindblad(g, P_FERRO).iter_samples(traj, step)):
+            samples = list(stream)
+            assert [s.burn_in for s in samples] == [s.time < burn_in for s in samples]
+            assert sum(not s.burn_in for s in samples) == count
 
 
 class TestRngStream:
