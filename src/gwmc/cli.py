@@ -24,11 +24,11 @@ from .dynamics import (
     RngStream,
     StepConfig,
     TrajectoryConfig,
+    TrajectoryStream,
     _check_jump_ceiling,
     batch_samples,
     cadence,
     initial_product_state,
-    trajectory_stream,
 )
 from .errors import ConfigError, InsufficientDataError, NumericsError
 from .lattice import build_lattice
@@ -39,8 +39,7 @@ from .observables import (
     mf_structure_factor,
     mf_transition_point,
 )
-from .oracle import (_GEOMETRY_FOR_SITES, MAX_DENSE_SITES, MAX_SITES, DenseLindblad,
-                     full_wfmc_stream, oracle_report)
+from .oracle import _GEOMETRY_FOR_SITES, MAX_DENSE_SITES, MAX_SITES, DenseLindblad, FullWfmc, oracle_report
 
 ENGINES = ("gutzwiller", "fullwfmc", "exact")
 
@@ -192,7 +191,8 @@ def _check_manifold_estimate(cfg: RunConfig, estimate: str, sites: int, needed: 
         raise ConfigError(f"{estimate} is taken on manifold trajectories; set engine = gutzwiller")
     if sites < 2:
         raise ConfigError(f"{estimate} needs at least 2 sites, got {sites}")
-    kept = cadence(cfg.trajectory(), cfg.step())[2]
+    spp, n_steps, first = cadence(cfg.trajectory(), cfg.step())
+    kept = max(0, n_steps // spp + 1 - first)
     if kept < needed:
         raise InsufficientDataError(f"only {kept} post-burn-in samples, need {needed}" if kept
                                     else f"no sample at or after burn_in = {cfg.burn_in:g}")
@@ -200,19 +200,18 @@ def _check_manifold_estimate(cfg: RunConfig, estimate: str, sites: int, needed: 
 
 # -- run -------------------------------------------------------------------
 
-def _engine_stream(cfg: RunConfig):
-    """The configured engine's samples, as they are taken."""
-    geometry, p = cfg.geometry(), cfg.model()
-    traj, step = cfg.trajectory(), cfg.step()
+def _engine_path(cfg: RunConfig, geometry):
+    """The configured engine's one-row path on ``geometry``, stream 0."""
+    p, traj, step = cfg.model(), cfg.trajectory(), cfg.step()
     if cfg.engine == "gutzwiller":
-        return trajectory_stream(geometry, p, traj, step)
+        return batch_samples(geometry, [p], traj, step, [0])
     if cfg.engine == "fullwfmc":
-        return full_wfmc_stream(geometry, p, traj, step)
-    return DenseLindblad(geometry, p).iter_samples(traj, step)
+        return FullWfmc(geometry, p).path(traj, step, [0])
+    return DenseLindblad(geometry, p).path(traj, step)
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    samples = _engine_stream(cfg)
+    samples = TrajectoryStream(_engine_path(cfg, cfg.geometry()))
 
     def rows():
         for s in samples:
@@ -333,7 +332,7 @@ def cmd_sweep(cfg: RunConfig, **keys) -> int:
 def cmd_correlate(cfg: RunConfig) -> int:
     _check_manifold_estimate(cfg, "a correlation profile", cfg.width * cfg.height, 2)  # for the batch-means errors
     geometry = cfg.geometry()
-    samples = trajectory_stream(geometry, cfg.model(), cfg.trajectory(), cfg.step())
+    samples = TrajectoryStream(_engine_path(cfg, geometry))
     profile = None
 
     def rows():

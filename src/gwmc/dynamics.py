@@ -18,15 +18,15 @@ All state-level functions accept leading batch dimensions, so m
 trajectories on one lattice are advanced as one (m, n_sites, 2) array by
 :func:`batch_samples`, each row drawing from its own counter-based stream
 (:class:`RowStreams`). :class:`SamplePath` is the one step-and-sample
-loop, for this engine and for the exact references in :mod:`gwmc.oracle`,
-iterated once; it keeps its run's record, each row's jump total and trap
-time, and ``first_kept``, from :func:`cadence`'s post-burn-in count. Every
-engine observes the per-row record (bloch, sxx, ...): Bloch vectors and the
-k = 0 structure factor, factorized here and exact in the references.
-:func:`row_ensemble` sets up its trajectory rows. Each trajectory is a
-:class:`TrajectoryStream`, the one maker of Samples, a stateless reader of
-row 0 of its path; only a caller that reports the jump total calls its
-``finish()``, for the steps after the last sample.
+loop, iterated once; it keeps its run's record, each row's jump total and
+trap time, and ``first_kept``, :func:`cadence`'s first post-burn-in index.
+Each engine has one path maker: :func:`batch_samples` here, and
+``FullWfmc.path`` and ``DenseLindblad.path`` in :mod:`gwmc.oracle`; the
+trajectory engines' run through :func:`row_ensemble`. Every path observes
+per-row (bloch, sxx, ...): Bloch vectors and the k = 0 structure factor,
+factorized here and exact there. ``TrajectoryStream(path)``, the one maker
+of Samples, reads row 0 of a one-row path; only a caller that reports the
+jump total calls its ``finish()``, for the steps after the last sample.
 """
 
 from __future__ import annotations
@@ -431,22 +431,6 @@ class TrajectoryStream:
                          sxx_inst=float(sxx[0]))
 
 
-def k_steps(advance_once, rows: int):
-    """Lift a one-step advance, returning (new state, jumped index array) as
-    :func:`advance` does, to the driver's ``advance(state, k)``: k steps and
-    the (rows,) jump counts per batch row."""
-
-    def advance_k(state, k):
-        counts = np.zeros(rows, dtype=np.int64)
-        for _ in range(k):
-            state, jumped = advance_once(state)
-            if len(jumped):
-                counts += np.bincount(jumped[:, 0], minlength=rows) if rows > 1 else len(jumped)
-        return state, counts
-
-    return advance_k
-
-
 def whole_steps(duration: float, dt: float) -> int:
     """duration / dt rounded to whole steps. Refuses a count that is not
     finite: a non-finite duration, or a dt so small against it that the
@@ -458,8 +442,9 @@ def whole_steps(duration: float, dt: float) -> int:
 
 
 def cadence(traj: TrajectoryConfig, step: StepConfig) -> tuple[int, int, int]:
-    """(steps per sample, steps in all, samples at or after burn_in) of a
-    :class:`SamplePath`. Refuses a sample_interval below dt, and a
+    """(steps per sample, steps in all, index of the first sample at or after
+    burn_in) of a :class:`SamplePath`; that index is past the last sample
+    when none is. Refuses a sample_interval below dt, and a
     sample_interval or t_total off the step grid (to a relative 1e-9)."""
     if traj.sample_interval < step.dt:
         raise ConfigError("sample_interval must be at least dt")
@@ -470,7 +455,7 @@ def cadence(traj: TrajectoryConfig, step: StepConfig) -> tuple[int, int, int]:
     spp, n_steps = whole_steps(traj.sample_interval, step.dt), whole_steps(traj.t_total, step.dt)
     near = math.ceil(traj.burn_in / (spp * step.dt))  # the first kept sample, or one off by rounding
     first = next(j for j in (near - 1, near, near + 1) if j * spp * step.dt >= traj.burn_in)  # timed as the path
-    return spp, n_steps, max(0, n_steps // spp - first + 1)
+    return spp, n_steps, first
 
 
 class SamplePath:
@@ -493,8 +478,7 @@ class SamplePath:
 
     def __init__(self, state, advance, observe, traj: TrajectoryConfig, step: StepConfig,
                  rows: int = 1, trap: bool = False):
-        self.spp, self.n_steps, kept = cadence(traj, step)
-        self.first_kept = len(self) - kept  # the kept samples are the last `kept`
+        self.spp, self.n_steps, self.first_kept = cadence(traj, step)
         self.dt = step.dt
         self.state, self._advance, self._observe, self._trap = state, advance, observe, trap
         self.n, self._started = 0, False
@@ -545,14 +529,23 @@ class SamplePath:
 def row_ensemble(state, advance_once, observe, traj: TrajectoryConfig, step: StepConfig, streams,
                  trap: bool = False) -> SamplePath:
     """The :class:`SamplePath` of one batch row of ``state`` per entry of
-    ``streams``, for every trajectory engine: row k draws from the Philox
-    stream ``streams[k]`` of the seed, so it replays alone.
-    ``advance_once(state, rng)`` takes one step as :func:`advance` does."""
+    ``streams``, for both trajectory engines: row k draws from the Philox
+    stream ``streams[k]`` of the seed, so it replays alone. Each step of the
+    path is ``advance_once(state, rng)``, returning (new state, jumped index
+    array) as :func:`advance` does; the path counts each row's jumps."""
     rng = RowStreams(traj.seed, streams)
     rows = len(rng.generators)
     if rows > 1:  # a single row keeps no batch axis: small 2-d arrays step 3-5 % faster
         state = np.broadcast_to(state, (rows,) + state.shape).copy()
-    advance_k = k_steps(lambda x: advance_once(x, rng), rows)
+
+    def advance_k(x, k):
+        counts = np.zeros(rows, dtype=np.int64)
+        for _ in range(k):
+            x, jumped = advance_once(x, rng)
+            if len(jumped):
+                counts += np.bincount(jumped[:, 0], minlength=rows) if rows > 1 else len(jumped)
+        return x, counts
+
     return SamplePath(state, advance_k, observe, traj, step, rows, trap=trap)
 
 
@@ -585,12 +578,6 @@ def batch_samples(
                         traj, step, streams, trap=True)
 
 
-def trajectory_stream(geometry: LatticeGeometry, p: ModelParams, traj: TrajectoryConfig,
-                      step: StepConfig = StepConfig(), stream: int = 0) -> TrajectoryStream:
-    """The samples of :func:`run_trajectory`, as they are taken."""
-    return TrajectoryStream(batch_samples(geometry, [p], traj, step, [stream]))
-
-
 def run_trajectory(
     geometry: LatticeGeometry,
     p: ModelParams,
@@ -605,7 +592,7 @@ def run_trajectory(
     trapped and integration short-circuits: the dark state is exact, so later
     samples simply repeat the frozen Bloch vectors.
     """
-    samples = trajectory_stream(geometry, p, traj, step, stream)
+    samples = TrajectoryStream(batch_samples(geometry, [p], traj, step, [stream]))
     return TrajectoryResult(list(samples), samples.trapped_at, samples.finish())
 
 

@@ -244,10 +244,12 @@ class DenseLindblad:
                 out[i, j] = rho[idx, idx ^ masks[i] ^ masks[j]].sum().real
         return out
 
-    def iter_samples(self, traj: TrajectoryConfig, step: StepConfig) -> TrajectoryStream:
-        """The samples from the configured initial product state, on the
-        trajectory engines' cadence, with no jumps. Each step of the path
-        integrates one whole sample interval."""
+    def path(self, traj: TrajectoryConfig, step: StepConfig) -> SamplePath:
+        """The one-row :class:`gwmc.dynamics.SamplePath` of rho from the
+        configured initial product state, on the trajectory engines'
+        cadence, with no jumps; each sample observes (bloch, sxx), of shapes
+        (1, n, 3) and (1,). Each step of the path integrates one whole
+        sample interval."""
 
         def advance(rho, k):
             return self.integrate(rho, k * step.dt, dt=step.dt), np.zeros(1, dtype=np.int64)
@@ -256,7 +258,7 @@ class DenseLindblad:
             return self.site_bloch(rho)[None], structure_factor_from_pairs(self.pair_xx(rho)[None])
 
         rho0 = product_density(initial_product_state(traj, self.n))
-        return TrajectoryStream(SamplePath(rho0, advance, observe, traj, step))
+        return SamplePath(rho0, advance, observe, traj, step)
 
 
 # -- full-Hilbert-space trajectories -------------------------------------------
@@ -313,7 +315,7 @@ class FullWfmc:
         return _unravel(psi, self.p.gamma, step, self.jump_probabilities(psi, step.dt), rng, self._collapse,
                         lambda x, _: self._renorm(self._drift(x, step.dt)))
 
-    def _path(self, traj: TrajectoryConfig, step: StepConfig, streams) -> SamplePath:
+    def path(self, traj: TrajectoryConfig, step: StepConfig, streams) -> SamplePath:
         """:func:`gwmc.dynamics.row_ensemble` from the configured initial
         product state, row k on Philox stream ``streams[k]``; each sample
         observes (bloch, sxx, pair_xx), of shapes (rows, n, 3), (rows,), (rows, n, n)."""
@@ -327,12 +329,6 @@ class FullWfmc:
         return row_ensemble(psi, lambda x, rng: self.advance(x, step, rng), observe, traj, step, streams)
 
 
-def full_wfmc_stream(geometry: LatticeGeometry, p: ModelParams, traj: TrajectoryConfig,
-                     step: StepConfig = StepConfig(), stream: int = 0) -> TrajectoryStream:
-    """The samples of :func:`full_wfmc_trajectory`, as they are taken."""
-    return TrajectoryStream(FullWfmc(geometry, p)._path(traj, step, [stream]))
-
-
 def full_wfmc_trajectory(
     geometry: LatticeGeometry,
     p: ModelParams,
@@ -343,7 +339,7 @@ def full_wfmc_trajectory(
     """Single unrestricted trajectory with the manifold engine's sampling
     cadence; samples carry exact per-site Bloch vectors and exact pair-based
     instantaneous structure factors."""
-    samples = full_wfmc_stream(geometry, p, traj, step, stream)
+    samples = TrajectoryStream(FullWfmc(geometry, p).path(traj, step, [stream]))
     return TrajectoryResult(list(samples), None, samples.finish())
 
 
@@ -362,7 +358,7 @@ def full_wfmc_ensemble(
     (T, n_traj, n, n); averaging the per-trajectory values reproduces the
     master-equation expectations up to Monte Carlo error.
     """
-    times, observed, _ = zip(*FullWfmc(geometry, p)._path(traj, step, range(stream, stream + n_traj)))
+    times, observed, _ = zip(*FullWfmc(geometry, p).path(traj, step, range(stream, stream + n_traj)))
     blochs, _, pairs = zip(*observed)
     return np.asarray(times), np.asarray(blochs), np.asarray(pairs)
 
@@ -426,12 +422,15 @@ def oracle_report(
     times (3 standard errors), the XXZ all-down steady state, and for n >= 2
     that the manifold engine shows a finite, resolvable approximation residual
     against the exact solution (a manifold engine that exactly reproduces the
-    full dynamics for generic couplings would be wrong).
+    full dynamics for generic couplings would be wrong). The single-spin and
+    dark-state checks are stated in units of 1/gamma, so gamma must be positive.
     """
     if n_sites not in _GEOMETRY_FOR_SITES:
         raise ConfigError(f"oracle check supports site counts {sorted(_GEOMETRY_FOR_SITES)}, got {n_sites}")
     if n_traj < 2:
         raise ConfigError(f"oracle check needs at least 2 trajectories for its standard errors, got {n_traj}")
+    if not p.gamma > 0:  # no decay: no dark state, and trajectories with no spread
+        raise ConfigError(f"oracle check needs gamma > 0, got {p.gamma:g}")
     if t_total < _CHECKPOINTS[0]:
         raise ConfigError(f"oracle check needs t_total of at least {_CHECKPOINTS[0]:g}, "
                           f"its first checkpoint, got {t_total:g}")
@@ -446,7 +445,8 @@ def oracle_report(
     for t_chk in (1.0, 2.0, 5.0):
         rho = sys1.integrate(rho, t_chk - prev, dt=0.002)
         prev = t_chk
-        dev = max(dev, float(np.abs(sys1.site_bloch(rho)[0] - single_spin_analytic(t_chk, (1, 0, 0))).max()))
+        exact = single_spin_analytic(p.gamma * t_chk, (1, 0, 0))  # at the dimensionless time
+        dev = max(dev, float(np.abs(sys1.site_bloch(rho)[0] - exact).max()))
     checks.append(CheckResult("single_spin_analytic", dev <= 1e-6, dev, 1e-6))
 
     # 2. unraveling exactness at checkpoint times
@@ -478,7 +478,7 @@ def oracle_report(
     # 3. XXZ exact steady state: all spins down
     p_xxz = ModelParams(jx=p.jx, jy=p.jx, jz=p.jz, gamma=p.gamma)
     sys_xxz = DenseLindblad(geometry, p_xxz)
-    rho_ss = sys_xxz.integrate(rho0, 40.0, dt=0.002)
+    rho_ss = sys_xxz.integrate(rho0, 40.0 / p.gamma, dt=0.002)
     dark_dev = float(np.abs(sys_xxz.site_bloch(rho_ss) - np.array([0.0, 0.0, -1.0])).max())
     checks.append(CheckResult("xxz_dark_state", dark_dev <= 1e-4, dark_dev, 1e-4))
 

@@ -16,7 +16,7 @@ from conftest import CADENCE_CASES
 from gwmc import dynamics, oracle
 from gwmc.cli import (COMMANDS, ENGINES, RunConfig, SweepConfig, _base_meta, _fmt, _sweep_task, build_parser, main,
                       parse_kv_file, run_sweep)
-from gwmc.dynamics import batch_samples, run_trajectory, trajectory_stream
+from gwmc.dynamics import TrajectoryStream, batch_samples, run_trajectory
 from gwmc.errors import ConfigError, InsufficientDataError, NumericsError
 from gwmc.lattice import build_lattice
 from gwmc.observables import correlation_profile, instantaneous_structure_factor, magnetization
@@ -525,7 +525,7 @@ class TestSweepCommand:
         # sample is refused before any task
         cfg = RunConfig(width=2, height=2, t_total=t_total, burn_in=burn_in, sample_interval=interval, dt=dt,
                         seed=2)
-        stream = trajectory_stream(cfg.geometry(), cfg.model(), cfg.trajectory(), cfg.step())
+        stream = TrajectoryStream(batch_samples(cfg.geometry(), [cfg.model()], cfg.trajectory(), cfg.step(), [0]))
         want = np.array([s.sxx_inst for s in stream if s.time >= burn_in])
         if kept is not None:
             assert len(want) == kept
@@ -715,7 +715,7 @@ class TestStreaming:
         cfg = RunConfig.from_mapping(meta)
         geometry, p, traj, step = cfg.geometry(), cfg.model(), cfg.trajectory(), cfg.step()
         if engine == "exact":
-            samples = list(oracle.DenseLindblad(geometry, p).iter_samples(traj, step))
+            samples = list(TrajectoryStream(oracle.DenseLindblad(geometry, p).path(traj, step)))
             assert "total_jumps" not in meta
         else:
             result = {"gutzwiller": run_trajectory, "fullwfmc": oracle.full_wfmc_trajectory}[engine](
@@ -855,6 +855,7 @@ class TestOracleCheckCommand:
 
     @pytest.mark.parametrize("flag,value", [
         ("--trajectories", "0"), ("--trajectories", "-5"), ("--trajectories", "1"), ("--t-total", "0.5"),
+        ("--gamma", "0"),
     ])
     def test_input_without_verdict_exit_code(self, capsys, flag, value):
         args = {"--sites": "2", "--trajectories": "600", "--t-total": "3", "--seed": "7", flag: value}

@@ -12,19 +12,19 @@ from gwmc.dynamics import (
     SamplePath,
     StepConfig,
     TrajectoryConfig,
+    TrajectoryStream,
     advance,
     batch_samples,
     cadence,
     deterministic_step,
     jump_probabilities,
-    k_steps,
+    row_ensemble,
     run_ensemble,
     run_trajectory,
-    trajectory_stream,
 )
 from gwmc.lattice import build_lattice
 from gwmc.observables import instantaneous_structure_factor
-from gwmc.oracle import DenseLindblad, full_wfmc_stream
+from gwmc.oracle import DenseLindblad, FullWfmc
 from gwmc.state import (
     bloch_vectors,
     down_state,
@@ -308,15 +308,17 @@ class TestDriftKernel:
     @pytest.mark.parametrize("rows", [None, 3])
     def test_jump_free_index_array(self, rows):
         # the dark state never jumps: its index array is read-only, shaped
-        # like np.argwhere's, and k_steps counts no jump from it
+        # like np.argwhere's, and row_ensemble's path counts no jump from it
         g = build_lattice(4, 4)
         amps = down_state(16) if rows is None else np.broadcast_to(down_state(16), (rows, 16, 2)).copy()
         rng = RngStream(1).generator()
         _, jumped = advance(amps, g, P_FERRO, StepConfig(), rng)
         assert jumped.shape == (0, amps.ndim - 1) and jumped.dtype == np.intp
         assert not jumped.flags.writeable
-        advance_k = k_steps(lambda a: advance(a, g, P_FERRO, StepConfig(), rng), rows or 1)
-        assert advance_k(amps, 5)[1].tolist() == [0] * (rows or 1)
+        traj = TrajectoryConfig(t_total=0.05, sample_interval=0.05, seed=1)
+        path = row_ensemble(down_state(16), lambda a, rng: advance(a, g, P_FERRO, StepConfig(), rng),
+                            lambda a: a, traj, StepConfig(), range(rows or 1))
+        assert [jumps.tolist() for _, _, jumps in path] == [[0] * (rows or 1)] * 2
 
 
 class TestJumps:
@@ -540,37 +542,39 @@ class TestRunTrajectory:
     def test_span_off_the_step_grid_refused(self, t_total, interval, dt):
         traj = TrajectoryConfig(t_total=t_total, sample_interval=interval)
         with pytest.raises(ConfigError, match="whole number of steps"):
-            trajectory_stream(build_lattice(2, 2), P_FERRO, traj, StepConfig(dt=dt))
+            batch_samples(build_lattice(2, 2), [P_FERRO], traj, StepConfig(dt=dt), [0])
 
     @pytest.mark.parametrize("t_total,interval,dt", [(10.0, 1.0, 0.01), (1.05, 0.1, 0.01), (2.0, 0.3, 0.01),
                                                      (1.0, 0.02, 0.02), (0.5, 0.5, 0.01), (3.0, 0.7, 0.05)])
     def test_stream_knows_its_length(self, t_total, interval, dt):
         # correlation_series sizes its rows by len() before the first sample
         traj = TrajectoryConfig(t_total=t_total, sample_interval=interval, seed=2)
-        samples = trajectory_stream(build_lattice(2, 2), P_FERRO, traj, StepConfig(dt=dt))
+        samples = TrajectoryStream(batch_samples(build_lattice(2, 2), [P_FERRO], traj, StepConfig(dt=dt), [0]))
         assert len(samples) == len(list(samples))
 
     def test_second_pass_refused(self):
         # a second pass would restart at t = 0 from the final state
-        samples = trajectory_stream(build_lattice(2, 2), P_FERRO, TrajectoryConfig(t_total=3.0, seed=2))
+        traj = TrajectoryConfig(t_total=3.0, seed=2)
+        samples = TrajectoryStream(batch_samples(build_lattice(2, 2), [P_FERRO], traj, StepConfig(), [0]))
         assert len(list(samples)) == 4
         with pytest.raises(RuntimeError, match="iterated once"):
             list(samples)
 
     @pytest.mark.parametrize("t_total,interval,dt,burn_in,kept", CADENCE_CASES)
     def test_cadence_counts_the_kept_samples(self, t_total, interval, dt, burn_in, kept):
-        # the count is known before the first step; each engine's stream
-        # flags its samples by it, and those flags agree with each sample's
-        # own time at the boundary
+        # the first kept index is known before the first step; each engine's
+        # path, read through TrajectoryStream, flags its samples by it, and
+        # those flags agree with each sample's own time at the boundary
         traj = TrajectoryConfig(t_total=t_total, burn_in=burn_in, sample_interval=interval, seed=2)
         step = StepConfig(dt=dt)
-        count = cadence(traj, step)[2]
+        spp, n_steps, first = cadence(traj, step)
+        count = max(0, n_steps // spp + 1 - first)
         if kept is not None:
             assert count == kept
         g = build_lattice(2, 2)
-        for stream in (trajectory_stream(g, P_FERRO, traj, step), full_wfmc_stream(g, P_FERRO, traj, step),
-                       DenseLindblad(g, P_FERRO).iter_samples(traj, step)):
-            samples = list(stream)
+        for path in (batch_samples(g, [P_FERRO], traj, step, [0]), FullWfmc(g, P_FERRO).path(traj, step, [0]),
+                     DenseLindblad(g, P_FERRO).path(traj, step)):
+            samples = list(TrajectoryStream(path))
             assert [s.burn_in for s in samples] == [s.time < burn_in for s in samples]
             assert sum(not s.burn_in for s in samples) == count
 

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import random_product_state
 from gwmc.errors import ConfigError, NumericsError
-from gwmc.dynamics import ModelParams, RngStream, StepConfig, TrajectoryConfig, TrajectoryStream, run_trajectory
+from gwmc.dynamics import (ModelParams, RngStream, SamplePath, StepConfig, TrajectoryConfig, TrajectoryStream,
+                           run_trajectory)
 from gwmc import dynamics, oracle
 from gwmc.lattice import build_lattice
 from gwmc.oracle import (
@@ -499,7 +502,7 @@ class TestSharedDriver:
         traj = TrajectoryConfig(t_total=10.3, sample_interval=1.0, seed=5)
         n, first = 6, 3
         times, blochs, pairs = full_wfmc_ensemble(g, P_FERRO, traj, StepConfig(), n_traj=n, stream=first)
-        path = FullWfmc(g, P_FERRO)._path(traj, StepConfig(), range(first, first + n))
+        path = FullWfmc(g, P_FERRO).path(traj, StepConfig(), range(first, first + n))
         jumps = np.array([j for _, _, j in path])
         totals = path.finish()
         for k in range(n):
@@ -518,17 +521,17 @@ class TestSharedDriver:
         g = build_lattice(2, 1)
         traj = TrajectoryConfig(t_total=10.0, burn_in=1.0, sample_interval=2.5)
         system = DenseLindblad(g, P_FERRO)
-        got = list(system.iter_samples(traj, StepConfig()))
+        got = list(TrajectoryStream(system.path(traj, StepConfig())))
         _assert_samples_bit_equal(got, reference_dense_samples(system, traj, StepConfig()))
 
-    def test_dense_samples_are_a_trajectory_stream(self):
-        # the dense engine's samples come from the one Sample maker, with
-        # the trajectory engines' length, and never trap
+    def test_dense_path_is_a_sample_path(self):
+        # the dense engine's maker gives a path of the one loop, with the
+        # trajectory engines' length, that never traps
         traj = TrajectoryConfig(t_total=10.0, burn_in=1.0, sample_interval=2.5)
-        samples = DenseLindblad(build_lattice(2, 1), P_FERRO).iter_samples(traj, StepConfig())
-        assert isinstance(samples, TrajectoryStream)
-        assert len(samples) == len(list(samples)) == 5
-        assert samples.trapped_at is None
+        path = DenseLindblad(build_lattice(2, 1), P_FERRO).path(traj, StepConfig())
+        assert isinstance(path, SamplePath)
+        assert len(path) == len(list(path)) == 5
+        assert path.trapped_at == [None]
 
     def test_full_space_row_sxx_matches_solo(self):
         # each row's exact Sxx in a full-space ensemble observation is its
@@ -537,7 +540,7 @@ class TestSharedDriver:
         g = build_lattice(2, 2)
         traj = TrajectoryConfig(t_total=4.0, sample_interval=0.5, seed=5)
         n, first = 12, 3
-        rows = [sxx for _, (_, sxx, _), _ in FullWfmc(g, P_FERRO)._path(traj, StepConfig(), range(first, first + n))]
+        rows = [sxx for _, (_, sxx, _), _ in FullWfmc(g, P_FERRO).path(traj, StepConfig(), range(first, first + n))]
         for k in range(n):
             solo = full_wfmc_trajectory(g, P_FERRO, traj, StepConfig(), stream=first + k)
             assert [s.sxx_inst for s in solo.samples] == [float(sxx[k]) for sxx in rows]
@@ -550,7 +553,7 @@ class TestSharedDriver:
         streams = {
             "gutzwiller": run_trajectory(g, P_FERRO, traj).samples,
             "fullwfmc": full_wfmc_trajectory(g, P_FERRO, traj).samples,
-            "exact": DenseLindblad(g, P_FERRO).iter_samples(traj, StepConfig()),
+            "exact": TrajectoryStream(DenseLindblad(g, P_FERRO).path(traj, StepConfig())),
         }
         for engine, samples in streams.items():
             assert structure_factor(samples) == StructureFactorEstimate(0.0, 0.0, 19), engine
@@ -590,6 +593,21 @@ class TestOracleReport:
     def test_rejects_unsupported_size(self):
         with pytest.raises(ConfigError):
             oracle_report(3, P_FERRO)
+
+    @pytest.mark.parametrize("gamma", [0.5, 0.2])
+    @pytest.mark.parametrize("sites", [1, 2, 4])
+    def test_passes_away_from_unit_gamma(self, sites, gamma):
+        # the single-spin solution and the dark state's horizon are stated
+        # in units of 1/gamma
+        report = oracle_report(sites, replace(P_FERRO, gamma=gamma), t_total=3.0, n_traj=800, seed=7)
+        assert report.passed, "\n".join(report.lines())
+
+    def test_rejects_zero_gamma(self, monkeypatch):
+        # no decay: no dark state, and no spread for the standard errors;
+        # refused before any work
+        monkeypatch.setattr(oracle, "DenseLindblad", None)
+        with pytest.raises(ConfigError, match="gamma > 0"):
+            oracle_report(2, replace(P_FERRO, gamma=0.0))
 
     @pytest.mark.parametrize("t_total,horizon", [(3.0, 2.0), (10.0, 10.0)])
     def test_full_space_ensemble_stops_at_the_last_checkpoint(self, monkeypatch, t_total, horizon):
