@@ -35,6 +35,7 @@ from .lattice import build_lattice
 from .observables import (
     batch_means,
     correlation_profile,
+    ensemble_means,
     magnetization,
     mf_structure_factor,
     mf_transition_point,
@@ -277,8 +278,11 @@ def run_sweep(sweep: SweepConfig):
     Rows that share a lattice form one group (a jy sweep is one group, a size
     sweep one per size); row r of a group goes to chunk r mod ``workers``, one
     batch each. Row (i, k) owns stream i*T + k, so it is bit-identical to the
-    solo trajectory on that stream and results do not depend on the chunking;
-    each row's series is read back by its key.
+    solo trajectory on that stream and results do not depend on the chunking.
+    The rows' series, sorted by key, stack into one (points, trajectories,
+    samples) array each for Sxx and |Mx|, and every column of the result
+    comes from one call: ``batch_means`` of each point's one trajectory, or
+    ``ensemble_means`` of its trajectories' time means.
     """
     workers = sweep.base.workers
     groups: dict[tuple[int, int], list] = {}
@@ -297,22 +301,14 @@ def run_sweep(sweep: SweepConfig):
             done = list(pool.map(_sweep_task, chunks))
     else:
         done = map(_sweep_task, chunks)
-    series = dict(row for chunk in done for row in chunk)  # (point, trajectory) -> (Sxx, |Mx|)
-
-    rows = []
-    for i, cfg in enumerate(sweep.configs):
-        sxx_all, mx_all = zip(*(series[i, k] for k in range(sweep.trajectories)))
-        n_samples = int(sum(len(s) for s in sxx_all))
-        if sweep.trajectories == 1:
-            est, se = batch_means(sxx_all[0])
-        else:
-            traj_means = np.array([s.mean() for s in sxx_all])
-            est = float(traj_means.mean())
-            se = float(traj_means.std(ddof=1) / np.sqrt(len(traj_means)))
-        rows.append({"jy": cfg.jy, "L": cfg.width, "Sxx_k0": est, "Sxx_stderr": se,
-                     "Mx_abs_mean": float(np.concatenate(mx_all).mean()), "sample_count": n_samples,
-                     "trajectories": sweep.trajectories})
-    return rows
+    done = sorted(row for chunk in done for row in chunk)  # by (point, trajectory), each key once
+    shape = (len(sweep.configs), sweep.trajectories, -1)
+    sxx, mx = (np.stack(series).reshape(shape) for series in zip(*(row for _, row in done)))
+    est, se = batch_means(sxx[:, 0]) if sweep.trajectories == 1 else ensemble_means(sxx.mean(axis=-1))
+    mx_mean = mx.reshape(len(sweep.configs), -1).mean(axis=-1)
+    return [{"jy": cfg.jy, "L": cfg.width, "Sxx_k0": e, "Sxx_stderr": s, "Mx_abs_mean": x,
+             "sample_count": sxx[0].size, "trajectories": sweep.trajectories}
+            for cfg, e, s, x in zip(sweep.configs, est, se, mx_mean)]
 
 
 def cmd_sweep(cfg: RunConfig, **keys) -> int:
@@ -337,7 +333,7 @@ def cmd_correlate(cfg: RunConfig) -> int:
 
     def rows():
         nonlocal profile
-        profile = correlation_profile(samples, geometry)  # keeps one class row per sample
+        profile = correlation_profile(samples, geometry)  # keeps one class-by-sample buffer
         for c, mean, se in zip(profile.classes, profile.mean, profile.stderr):
             yield c.dx, c.dy, c.distance, mean, se, c.pair_count, int(c.is_axis)
 

@@ -69,25 +69,32 @@ def instantaneous_structure_factor(sx: np.ndarray, k=(0.0, 0.0), coords=None):
 N_BATCHES = 20
 
 
-def batch_means(values: np.ndarray) -> tuple[float, float]:
-    """Mean and batch-means standard error of an autocorrelated series.
+def batch_means(values: np.ndarray):
+    """Mean and batch-means standard error of each series along the last
+    axis of ``values`` (..., m), as (mean, se) of the leading shape.
 
-    The series is split into N_BATCHES contiguous batches (fewer only if
-    the series is shorter); the standard error is the standard deviation of
-    the batch means over sqrt(n_batches). At the default sampling cadence a
-    production-length run gives batch lengths well above the autocorrelation
-    time (>= 50 samples per batch beyond ~1000 samples).
+    Each series is split into N_BATCHES contiguous batches (fewer only if it
+    is shorter); its standard error is the standard deviation of the batch
+    means over sqrt(n_batches). A series contiguous in memory gets the bits
+    of its own 1-D call; a transposed view's does not. At the default
+    sampling cadence a production-length run gives batch lengths well above
+    the autocorrelation time (>= 50 samples per batch beyond ~1000 samples).
     """
     values = np.asarray(values, dtype=float)
-    m = values.size
+    m = values.shape[-1]
     if m < 2:
         raise InsufficientDataError(f"need at least 2 samples, got {m}")
     n_batches = min(N_BATCHES, m)
     batch_len = m // n_batches
-    used = values[: n_batches * batch_len].reshape(n_batches, batch_len)
-    means = used.mean(axis=1)
-    se = float(means.std(ddof=1) / np.sqrt(n_batches))
-    return float(values.mean()), se
+    used = values[..., : n_batches * batch_len].reshape(*values.shape[:-1], n_batches, batch_len)
+    return values.mean(axis=-1), used.mean(axis=-1).std(ddof=1, axis=-1) / np.sqrt(n_batches)
+
+
+def ensemble_means(values: np.ndarray):
+    """Mean and standard error, sample standard deviation over sqrt(n), of
+    independent values along the last axis (..., n), as for batch_means."""
+    values = np.asarray(values, dtype=float)
+    return values.mean(axis=-1), values.std(ddof=1, axis=-1) / np.sqrt(values.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -123,41 +130,36 @@ class CorrelationProfile:
 
 
 def correlation_series(samples, geometry: LatticeGeometry) -> tuple[list[DisplacementClass], np.ndarray]:
-    """Per-sample per-class mean pair products, shape (n_samples, n_classes).
+    """Per-class mean pair products of the post-burn-in samples, class-major
+    (n_classes, n_samples): each class series is contiguous, as batch_means
+    needs for the bits of a 1-D call, and is not copied.
 
-    Each post-burn-in sample becomes its row as it arrives, and only the
-    rows are kept: ``samples``, of known length, may be a trajectory stream.
-    The pair sum over one offset d is the circular autocorrelation
+    Each sample becomes its column as it arrives, and only the columns are
+    kept: ``samples``, of known length, may be a trajectory stream. The pair
+    sum over one offset d is the circular autocorrelation
     sum_r s(r) s(r + d), taken for all offsets at once by FFT in O(n log n).
     """
     classes, offset_id = offset_class_index(geometry)
     shape = (geometry.height, geometry.width)
     bins = offset_id.ravel() + 1  # bin class + 1: bin 0 collects the zero offset and is dropped
     counts = np.array([c.pair_count for c in classes], dtype=float)
-    rows, m = np.empty((len(samples), len(classes))), 0  # burn-in rows stay unwritten
+    series, m = np.empty((len(classes), len(samples))), 0  # burn-in columns stay unwritten
     for s in samples:
         if s.burn_in:
             continue
         spectrum = np.fft.rfft2(s.bloch[:, 0].reshape(shape))
         autocorr = np.fft.irfft2(spectrum * spectrum.conj(), s=shape)
-        rows[m] = np.bincount(bins, autocorr.ravel(), minlength=len(classes) + 1)[1:] / counts
+        series[:, m] = np.bincount(bins, autocorr.ravel(), minlength=len(classes) + 1)[1:] / counts
         m += 1
-    return classes, rows[:m]
+    return classes, series[:, :m]
 
 
 def correlation_profile(samples, geometry: LatticeGeometry) -> CorrelationProfile:
     """Batch-means profile of :func:`correlation_series`; ``samples`` may
     be a stream."""
-    classes, rows = correlation_series(samples, geometry)
-    if rows.shape[0] < 2:
-        raise InsufficientDataError(f"only {rows.shape[0]} post-burn-in samples")
-    stats = [batch_means(rows[:, c]) for c in range(len(classes))]
-    return CorrelationProfile(
-        classes,
-        np.array([m for m, _ in stats]),
-        np.array([e for _, e in stats]),
-        rows.shape[0],
-    )
+    classes, series = correlation_series(samples, geometry)
+    mean, stderr = batch_means(series)
+    return CorrelationProfile(classes, mean, stderr, series.shape[1])
 
 
 class Accumulator:

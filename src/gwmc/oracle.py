@@ -38,6 +38,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, NumericsError
 from .lattice import LatticeGeometry, bonds, build_lattice
+from .observables import ensemble_means
 from .state import NORM2_FLOOR, NORM2_MAX, plus_x_state
 
 MAX_SITES = 10  # full-space state vectors and Hamiltonians
@@ -469,8 +470,8 @@ def oracle_report(
         if n_sites >= 2:
             observables.append((pairs[idx, :, 0, 1], sys_n.pair_xx(rho)[0, 1]))
         for vals, exact in observables:
-            se = vals.std(ddof=1) / np.sqrt(n_traj)
-            lhs = abs(vals.mean() - exact)
+            mean, se = ensemble_means(vals)
+            lhs = abs(mean - exact)
             ok &= lhs <= 3.0 * se + 1e-12
             worst = max(worst, lhs / max(se, 1e-300))
     checks.append(CheckResult("unraveling_exactness", ok, worst, 3.0, "max |dev|/SE over checkpoints"))
@@ -489,8 +490,8 @@ def oracle_report(
         g_times, g_blochs = run_ensemble(geometry, p, traj, step, n_traj, stream=n_traj)
         rho = sys_n.integrate(rho, float(g_times[-1]) - prev_t, dt=0.002)
         pair_vals = g_blochs[-1, :, 0, 0] * g_blochs[-1, :, 1, 0]
-        se = pair_vals.std(ddof=1) / np.sqrt(n_traj)
-        residual = abs(pair_vals.mean() - sys_n.pair_xx(rho)[0, 1])
+        mean, se = ensemble_means(pair_vals)
+        residual = abs(mean - sys_n.pair_xx(rho)[0, 1])
         checks.append(CheckResult("manifold_residual_resolved", residual > 3.0 * se, residual, 3.0 * se,
                                   f"|<xx>_manifold - <xx>_exact| at t={g_times[-1]:g}"))
     return OracleReport(checks)

@@ -199,10 +199,16 @@ class TestRunCommand:
         (["sweep", "--t-total", "2.005", "--values", "1.2"], "whole number"),
         (["oracle-check", "--dt", "0.03"], "whole number"),
         (["oracle-check", "--t-total", "2.005"], "whole number"),
+        (["run", "--t-total", "0"], "t_total"),
+        (["run", "--t-total", "-5"], "t_total"),
+        (["run", "--sample-interval", "0"], "sample_interval"),
+        (["sweep", "--values", "1.2", "--workers", "0"], "workers"),
+        (["sweep", "--values", "1.2,abc"], "'1.2,abc'"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_seed_or_span_refused_before_work(self, tmp_path, capsys, monkeypatch, argv, reason):
-        # a seed outside the Philox key (-1 and 2^64 - 1 would share a stream)
-        # and a span off the dt grid exit 1 and write nothing
+        # a seed outside the Philox key (-1 and 2^64 - 1 would share a stream),
+        # a span off the dt grid or not positive, no worker and a value list
+        # that does not parse exit 1 and write nothing
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 1
         captured = capsys.readouterr()
@@ -689,18 +695,25 @@ class TestStreaming:
         assert not live.traces, live.statistics("lineno")[:3]
 
     def test_correlate_csv_equals_the_collected_profile(self, tmp_path):
-        args = _run_args(tmp_path, "cs", width="6", height="6", **{"t-total": "20", "burn-in": "2",
-                                                                   "sample-interval": "0.5"})
-        assert main(["correlate", *args]) == 0
-        cfg = RunConfig.from_mapping(parse_kv_file(tmp_path / "cs_meta.txt"))
-        geometry = cfg.geometry()
-        profile = correlation_profile(run_trajectory(geometry, cfg.model(), cfg.trajectory(), cfg.step()).samples,
-                                      geometry)
-        lines = ["dx,dy,distance,corr_xx,stderr,pair_count,axis_flag"] + [
-            f"{c.dx},{c.dy},{_fmt(c.distance)},{_fmt(m)},{_fmt(e)},{c.pair_count},{int(c.is_axis)}"
-            for c, m, e in zip(profile.classes, profile.mean, profile.stderr)
-        ]
-        assert (tmp_path / "cs_corr.csv").read_text() == "\n".join(lines) + "\n"
+        # a 6x6 run, and the XXZ trap, whose meta records trapped_at
+        for name, over in [("cs", {"width": "6", "height": "6", "t-total": "20", "burn-in": "2",
+                                   "sample-interval": "0.5"}),
+                           ("trap", {"width": "4", "height": "4", "jy": "0.9", "jx": "0.9", "t-total": "150",
+                                     "burn-in": "0"})]:
+            assert main(["correlate", *_run_args(tmp_path, name, **over)]) == 0
+            meta = parse_kv_file(tmp_path / f"{name}_meta.txt")
+            cfg = RunConfig.from_mapping(meta)
+            geometry = cfg.geometry()
+            result = run_trajectory(geometry, cfg.model(), cfg.trajectory(), cfg.step())
+            profile = correlation_profile(result.samples, geometry)
+            assert meta["n_samples"] == str(profile.n_samples)
+            assert meta.get("trapped_at") == (None if result.trapped_at is None else _fmt(result.trapped_at))
+            assert ("trapped_at" in meta) == ("jx" in over)
+            lines = ["dx,dy,distance,corr_xx,stderr,pair_count,axis_flag"] + [
+                f"{c.dx},{c.dy},{_fmt(c.distance)},{_fmt(m)},{_fmt(e)},{c.pair_count},{int(c.is_axis)}"
+                for c, m, e in zip(profile.classes, profile.mean, profile.stderr)
+            ]
+            assert (tmp_path / f"{name}_corr.csv").read_text() == "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("engine,over", [
         pytest.param("gutzwiller", {}, id="gutzwiller"),

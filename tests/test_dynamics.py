@@ -547,7 +547,7 @@ class TestRunTrajectory:
     @pytest.mark.parametrize("t_total,interval,dt", [(10.0, 1.0, 0.01), (1.05, 0.1, 0.01), (2.0, 0.3, 0.01),
                                                      (1.0, 0.02, 0.02), (0.5, 0.5, 0.01), (3.0, 0.7, 0.05)])
     def test_stream_knows_its_length(self, t_total, interval, dt):
-        # correlation_series sizes its rows by len() before the first sample
+        # correlation_series sizes its buffer by len() before the first sample
         traj = TrajectoryConfig(t_total=t_total, sample_interval=interval, seed=2)
         samples = TrajectoryStream(batch_samples(build_lattice(2, 2), [P_FERRO], traj, StepConfig(dt=dt), [0]))
         assert len(samples) == len(list(samples))

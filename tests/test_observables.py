@@ -11,6 +11,7 @@ from gwmc.observables import (
     batch_means,
     correlation_profile,
     correlation_series,
+    ensemble_means,
     instantaneous_structure_factor,
     magnetization,
     mf_structure_factor,
@@ -153,6 +154,36 @@ class TestBatchMeans:
         assert mean == 2.0
         with pytest.raises(InsufficientDataError):
             batch_means(np.array([1.0]))
+        with pytest.raises(InsufficientDataError):  # a stack of one-sample series
+            batch_means(np.ones((5, 1)))
+
+    @pytest.mark.parametrize("m", [2, 3, 19, 20, 21, 39, 40, 41, 97, 400, 999, 1000])
+    @pytest.mark.parametrize("n_series", [1, 3, 152])
+    def test_stack_equals_one_call_per_series(self, rng, m, n_series):
+        # a C-ordered stack, and the [:, :m] slice of a wider buffer, as
+        # correlation_series returns: each row keeps its 1-D bits
+        wide = rng.normal(size=(n_series, m + 37)).cumsum(axis=1)
+        for stack in (np.ascontiguousarray(wide[:, :m]), wide[:, :m]):
+            mean, se = batch_means(stack)
+            assert mean.shape == se.shape == (n_series,)
+            solo = [batch_means(row) for row in stack]
+            assert np.array_equal(mean, [mu for mu, _ in solo])
+            assert np.array_equal(se, [e for _, e in solo])
+
+
+class TestEnsembleMeans:
+    def test_strided_view_matches_the_inline_rule(self, rng):
+        v = rng.normal(size=(1001, 3))[:, 1]  # a strided 1-D view
+        mean, se = ensemble_means(v)
+        assert mean == v.mean()
+        assert se == v.std(ddof=1) / np.sqrt(len(v))
+
+    def test_stack_equals_one_call_per_row(self, rng):
+        stack = rng.normal(size=(4, 2, 17))
+        mean, se = ensemble_means(stack)
+        assert mean.shape == se.shape == (4, 2)
+        for i, j in np.ndindex(4, 2):
+            assert (mean[i, j], se[i, j]) == ensemble_means(stack[i, j])
 
 
 class TestCorrelationProfile:
@@ -197,11 +228,11 @@ class TestCorrelationProfile:
         flags = [True, True, False, False, True, False, False, False]
         samples = [Sample(float(i), bloch_vectors(random_product_state(rng, g.n_sites)), burn_in=f)
                    for i, f in enumerate(flags)]
-        classes, rows = correlation_series(samples, g)
+        classes, series = correlation_series(samples, g)
         ref_classes, ref_rows = reference_correlation_series(samples, g)
         assert classes == ref_classes
-        assert rows.shape == (5, len(classes))
-        assert np.allclose(rows, ref_rows, rtol=0, atol=1e-12)
+        assert series.shape == (len(classes), 5)
+        assert np.allclose(series, ref_rows.T, rtol=0, atol=1e-12)
 
 
 class TestAccumulator:

@@ -7,22 +7,23 @@
 Runs every command line of the byte-identity list at every seed, once with
 each tree's ``src`` on PYTHONPATH, each run in a fresh temporary directory.
 The list is the four benchmark workloads (``perfbench/run.py``), the
-``sweep-jy`` workload again at one worker, a 4x4 run at Jy = 1.0 that traps
-in the dark state, ``run --engine fullwfmc`` and ``--engine exact`` on 2x1,
-``oracle-check`` on 1, 2 and 4 sites, and five lines at Jy = 1.8 whose
-t_total of 20.5 ends half a sample interval after the last sample: ``run``
-on 4x4 and ``run --engine fullwfmc`` on 2x1, whose metas count the jumps
-of those steps, and ``sweep`` on 4x4, ``run --engine exact`` on 2x1 and
-``correlate`` on 4x4, which take none of them; on the same tail, ``run``
-on 1x1 with each of the three engines, which pins each engine's one-site
-rule (Sxx 0, no pair). Then ``mf-curve`` on its default grid, a size
-sweep over 2x2 and 3x3 at one trajectory (the ``averaging = time``
-batch-means path), ``correlate`` on 6x6, and two lines on 4x4 that keep
-exactly two samples, the fewest a time average takes (``--t-total 20
---burn-in 19``): ``correlate`` and a one-trajectory sweep over two points.
-Compares the exit code, stdout and every file written; names each command
-line that differs and exits 1 if any does, or if a command fails in both
-trees.
+``sweep-jy`` workload again at one worker, a 4x4 ``run`` and ``correlate``
+at Jy = 1.0 that trap in the dark state (the correlate's batch means run
+over a nearly constant series), ``run --engine fullwfmc`` and ``--engine
+exact`` on 2x1, ``oracle-check`` on 1, 2 and 4 sites, and five lines at
+Jy = 1.8 whose t_total of 20.5 ends half a sample interval after the last
+sample: ``run`` on 4x4 and ``run --engine fullwfmc`` on 2x1, whose metas
+count the jumps of those steps, and ``sweep`` on 4x4, ``run --engine
+exact`` on 2x1 and ``correlate`` on 4x4, which take none of them; on the
+same tail, ``run`` on 1x1 with each of the three engines, which pins each
+engine's one-site rule (Sxx 0, no pair). Then ``mf-curve`` on its default
+grid, a size sweep over 2x2 and 3x3 at one trajectory (the
+``averaging = time`` batch-means path), ``correlate`` on 6x6, and two lines
+on 4x4 that keep exactly two samples, the fewest a time average takes
+(``--t-total 20 --burn-in 19``): ``correlate`` and a one-trajectory sweep
+over two points. Compares the exit code, stdout and every file written;
+names each command line that differs and exits 1 if any does, or if a
+command fails in both trees.
 
 With ``--record FILE`` it compares nothing: it writes one sha256 per command
 line and output at seed 1, under a header naming the numpy version and the
@@ -57,6 +58,8 @@ def command_lines(seed: int):
     yield [*WORKLOADS["sweep-jy"].argv(seed), "--workers", "1"]  # the last --workers wins
     # Jy near Jx: the run traps in the dark state and idles to the horizon
     yield ["run", "--width", "4", "--height", "4", "--jy", "1.0", "--t-total", "80", "--burn-in", "10", *tail]
+    # the same trap under correlate: batch means over a nearly constant series
+    yield ["correlate", "--width", "4", "--height", "4", "--jy", "1.0", "--t-total", "80", "--burn-in", "10", *tail]
     for engine in ("fullwfmc", "exact"):
         yield ["run", "--engine", engine, "--width", "2", "--height", "1", "--jy", "1.2",
                "--t-total", "20", "--burn-in", "2", *tail]
