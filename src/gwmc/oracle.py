@@ -7,9 +7,10 @@ dense. State vectors are capped at 10 sites; the master equation, whose
 superoperator is 4^n x 4^n (16 MB at 5 sites, 268 MB at 6), at 5. Tests
 typically use 1, 2, or 4.
 
-Both engines are linear in their state between jumps, so one classical RK4
-step is a matrix: the RK4 stability polynomial of the generator times dt.
-They apply that matrix (or a power of it) instead of four derivative stages.
+Both engines are linear in their state between jumps, so each steps by a
+matrix from one Horner polynomial (:func:`_taylor`): the full-space drift by
+one classical RK4 step, and the master equation by its exact propagator
+exp(L t), so that it has no time step.
 
 Basis convention: basis index b encodes site i in bit (n-1-i), with bit value
 0 meaning sigma^z = +1 (up). Site 0 is therefore the most significant bit,
@@ -18,6 +19,7 @@ matching a Kronecker-product build in site order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -34,7 +36,6 @@ from .dynamics import (
     initial_product_state,
     row_ensemble,
     run_ensemble,
-    whole_steps,
 )
 from .errors import ConfigError, NumericsError
 from .lattice import LatticeGeometry, bonds, build_lattice
@@ -43,7 +44,7 @@ from .state import NORM2_FLOOR, NORM2_MAX, plus_x_state
 
 MAX_SITES = 10  # full-space state vectors and Hamiltonians
 MAX_DENSE_SITES = 5  # dense master equation: a 4^n x 4^n superoperator
-CHECK_INTERVAL = 1.0  # DenseLindblad.integrate verifies rho at least this often
+CHECK_INTERVAL = 1.0  # DenseLindblad.integrate applies exp(L t) to at most this t, then verifies rho
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -55,14 +56,26 @@ def _check_cap(n: int, cap: int = MAX_SITES) -> None:
         raise ConfigError(f"exact solvers are capped at {cap} sites, got {n}")
 
 
-def _rk4_propagator(a: np.ndarray) -> np.ndarray:
-    """One classical RK4 step of the linear equation dy/dt = M y as a matrix:
-    the RK4 stability polynomial 1 + a + a^2/2 + a^3/6 + a^4/24 at a = dt M,
-    by Horner's rule."""
+def _taylor(a: np.ndarray, degree: int) -> np.ndarray:
+    """The Taylor polynomial 1 + a + a^2/2 + ... + a^degree/degree! of exp(a),
+    by Horner's rule. At degree 4 and a = dt M it is one classical RK4 step of
+    the linear equation dy/dt = M y (RK4's stability polynomial)."""
     eye = np.eye(len(a), dtype=a.dtype)
-    out = eye + a / 4.0
-    for c in (3.0, 2.0, 1.0):
+    out = eye + a / degree
+    for c in range(degree - 1, 0, -1):
         out = eye + (a @ out) / c
+    return out
+
+
+def _exp(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring (Moler & Van Loan, SIAM Rev. 45, 3 (2003)):
+    the degree-18 Taylor polynomial, exact to e / 19! ~ 2e-17 at a 1-norm of 1,
+    at a / 2^s for the least s that brings the norm there, squared s times."""
+    norm = np.abs(a).sum(axis=0).max()
+    s = max(0, math.ceil(math.log2(norm))) if norm > 0 else 0
+    out = _taylor(a / 2**s, 18)
+    for _ in range(s):
+        out = out @ out
     return out
 
 
@@ -164,7 +177,7 @@ class DenseLindblad:
         # total up-population on the diagonal; {n_j, rho} summed over sites
         # becomes (U_b + U_c) rho_bc
         self.up_count = self.up.sum(axis=0).astype(float)
-        self._powers: dict[tuple[float, int], np.ndarray] = {}
+        self._propagators: dict[float, np.ndarray] = {}
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
         out = -1j * (self.h @ rho - rho @ self.h)
@@ -187,24 +200,20 @@ class DenseLindblad:
             gen[:, j] = self.rhs(basis.reshape(dim, dim)).ravel()
         return gen
 
-    def _step_power(self, dt: float, k: int) -> np.ndarray:
-        """P^k for P one RK4 step of L at dt, by binary powering in O(log k)
-        products; cached per (dt, k)."""
-        if (dt, k) not in self._powers:
-            self._powers[dt, k] = np.linalg.matrix_power(_rk4_propagator(dt * self._generator), k)
-        return self._powers[dt, k]
-
-    def integrate(self, rho: np.ndarray, t: float, dt: float = 0.002) -> np.ndarray:
-        """RK4 integration at step dt, applied as one propagator power per
-        CHECK_INTERVAL plus one for the remainder; density-matrix invariants
-        are verified and restored (re-hermitized, trace-normalized) after
-        each of them."""
+    def integrate(self, rho: np.ndarray, t: float) -> np.ndarray:
+        """rho after time t, by the exact propagator exp(L t) applied as one
+        exp(L CHECK_INTERVAL) per whole interval plus one exp(L r) for the
+        remainder r, each built once; density-matrix invariants are verified
+        and restored (re-hermitized, trace-normalized) after each of them.
+        A t of 0 or less returns rho."""
+        if not math.isfinite(t):
+            raise ConfigError(f"integration time must be finite, got {t:g}")
         rho = np.array(rho, dtype=np.complex128)
-        n_steps = max(0, whole_steps(t, dt))
-        check_every = max(1, whole_steps(CHECK_INTERVAL, dt))
-        full, rest = divmod(n_steps, check_every)
-        for k in [check_every] * full + ([rest] if rest else []):
-            rho = self._verify_and_restore((self._step_power(dt, k) @ rho.ravel()).reshape(rho.shape))
+        full, rest = divmod(max(t, 0.0), CHECK_INTERVAL)
+        for delta in [CHECK_INTERVAL] * int(full) + ([rest] if rest else []):
+            if delta not in self._propagators:
+                self._propagators[delta] = _exp(delta * self._generator)
+            rho = self._verify_and_restore((self._propagators[delta] @ rho.ravel()).reshape(rho.shape))
         return rho
 
     def _verify_and_restore(self, rho: np.ndarray) -> np.ndarray:
@@ -250,10 +259,10 @@ class DenseLindblad:
         configured initial product state, on the trajectory engines'
         cadence, with no jumps; each sample observes (bloch, sxx), of shapes
         (1, n, 3) and (1,). Each step of the path integrates one whole
-        sample interval."""
+        sample interval exactly; dt sets only the sample grid."""
 
         def advance(rho, k):
-            return self.integrate(rho, k * step.dt, dt=step.dt), np.zeros(1, dtype=np.int64)
+            return self.integrate(rho, k * step.dt), np.zeros(1, dtype=np.int64)
 
         def observe(rho):
             return self.site_bloch(rho)[None], structure_factor_from_pairs(self.pair_xx(rho)[None])
@@ -284,7 +293,7 @@ class FullWfmc:
         vector-matrix product per row: BLAS rounds a row of a matrix product
         otherwise, and a batch row must keep the bits of its solo trajectory."""
         if dt not in self._drift_steps:
-            self._drift_steps[dt] = _rk4_propagator(-1j * dt * self.h_eff).T
+            self._drift_steps[dt] = _taylor(-1j * dt * self.h_eff, 4).T
         return (psi[..., None, :] @ self._drift_steps[dt])[..., 0, :]
 
     def _renorm(self, psi: np.ndarray) -> np.ndarray:
@@ -444,7 +453,7 @@ def oracle_report(
     dev = 0.0
     prev = 0.0
     for t_chk in (1.0, 2.0, 5.0):
-        rho = sys1.integrate(rho, t_chk - prev, dt=0.002)
+        rho = sys1.integrate(rho, t_chk - prev)
         prev = t_chk
         exact = single_spin_analytic(p.gamma * t_chk, (1, 0, 0))  # at the dimensionless time
         dev = max(dev, float(np.abs(sys1.site_bloch(rho)[0] - exact).max()))
@@ -462,7 +471,7 @@ def oracle_report(
     prev_t = 0.0
     ok = True
     for t_chk in checkpoints:
-        rho = sys_n.integrate(rho, t_chk - prev_t, dt=0.002)
+        rho = sys_n.integrate(rho, t_chk - prev_t)
         prev_t = t_chk
         idx = int(np.argmin(np.abs(times - t_chk)))
         # per-trajectory <sigma_1^x>, and <sigma_1^x sigma_2^x> on two or more sites
@@ -479,7 +488,7 @@ def oracle_report(
     # 3. XXZ exact steady state: all spins down
     p_xxz = ModelParams(jx=p.jx, jy=p.jx, jz=p.jz, gamma=p.gamma)
     sys_xxz = DenseLindblad(geometry, p_xxz)
-    rho_ss = sys_xxz.integrate(rho0, 40.0 / p.gamma, dt=0.002)
+    rho_ss = sys_xxz.integrate(rho0, 40.0 / p.gamma)
     dark_dev = float(np.abs(sys_xxz.site_bloch(rho_ss) - np.array([0.0, 0.0, -1.0])).max())
     checks.append(CheckResult("xxz_dark_state", dark_dev <= 1e-4, dark_dev, 1e-4))
 
@@ -488,7 +497,7 @@ def oracle_report(
     # streams after the full-space ensemble's, so that no stream feeds two rows.
     if n_sites >= 2:
         g_times, g_blochs = run_ensemble(geometry, p, traj, step, n_traj, stream=n_traj)
-        rho = sys_n.integrate(rho, float(g_times[-1]) - prev_t, dt=0.002)
+        rho = sys_n.integrate(rho, float(g_times[-1]) - prev_t)
         pair_vals = g_blochs[-1, :, 0, 0] * g_blochs[-1, :, 1, 0]
         mean, se = ensemble_means(pair_vals)
         residual = abs(mean - sys_n.pair_xx(rho)[0, 1])

@@ -71,7 +71,7 @@ def test_criterion_2_unraveling_exactness():
     worst = 0.0
     ok = True
     for t_chk in (1.0, 2.0, 5.0, 10.0):
-        rho = system.integrate(rho, t_chk - prev, dt=0.002)
+        rho = system.integrate(rho, t_chk - prev)
         prev = t_chk
         idx = int(np.argmin(np.abs(times - t_chk)))
         for vals, exact in (

@@ -274,10 +274,10 @@ class TestRunCommand:
         assert (tmp_path / "w_series.csv").read_text() == (
             "time,Mx,My,Mz,Sxx_inst,jumps_this_interval\n"
             "0,1,0,0,1,0\n"
-            "0.5,0.765701937179,-0.0165268370531,-0.388312059487,0.606530700338,0\n"
-            "1,0.572635890332,-0.043947645816,-0.603682509192,0.367879490453,0\n"
-            "1.5,0.423613319008,-0.0661230608592,-0.710419376893,0.223130204984,0\n"
-            "2,0.313142978354,-0.0791027986834,-0.754884430191,0.135335319496,0\n"
+            "0.5,0.765701965526,-0.0165267937188,-0.388312035696,0.606530659713,0\n"
+            "1,0.572635922924,-0.0439476034488,-0.603682507171,0.367879441171,0\n"
+            "1.5,0.42361334383,-0.0661230310369,-0.710419399637,0.223130160148,0\n"
+            "2,0.313142992555,-0.0791027813486,-0.754884466821,0.135335283237,0\n"
         )
         assert hashlib.sha256(_read(tmp_path / "w_meta.txt")).hexdigest() == (
             "ba7d879a18752e4bfe5e561efbd77aa5eb317a26430ea935e1a8483e40fb7178")

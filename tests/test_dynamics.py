@@ -22,9 +22,9 @@ from gwmc.dynamics import (
     run_ensemble,
     run_trajectory,
 )
-from gwmc.lattice import build_lattice
+from gwmc.lattice import bonds, build_lattice
 from gwmc.observables import instantaneous_structure_factor
-from gwmc.oracle import DenseLindblad, FullWfmc
+from gwmc.oracle import DenseLindblad, FullWfmc, product_state_vector
 from gwmc.state import (
     bloch_vectors,
     down_state,
@@ -85,6 +85,46 @@ def kernel_derivatives(amps: np.ndarray, geometry, p: ModelParams) -> np.ndarray
 
 
 KERNEL_LATTICES = [(1, 1), (2, 1), (2, 2), (3, 2), (4, 3), (5, 5), (6, 6)]  # degrees 0-4
+
+
+# -- noise-free referees: the drift against the full-space physics
+
+def tdvp_residual(states, geometry, p: ModelParams) -> float:
+    """Largest deviation, over the (n, 2) states, of the kernel's drift stage
+    from the Dirac-Frenkel (TDVP) projection of the full-space generator,
+    -i <Psi_!=i| h_eff |Psi_!=i> psi_i per site, both taken off psi_i: a
+    component along psi_i is a gauge (norm and phase) the projection leaves free."""
+    h_eff = FullWfmc(geometry, p).h_eff
+    worst = 0.0
+    for amps in states:
+        want = np.empty_like(amps)
+        for i in range(len(amps)):
+            kets = np.empty((2, len(h_eff)), dtype=np.complex128)
+            for b in range(2):  # site i set to basis state b, the others as they are
+                kets[b] = product_state_vector(np.concatenate([amps[:i], np.eye(2)[b:b + 1], amps[i + 1:]]))
+            want[i] = -1j * (kets.conj() @ h_eff @ kets.T) @ amps[i]
+        diff = kernel_derivatives(amps, geometry, p) - want
+        worst = max(worst, np.abs(diff - (amps.conj() * diff).sum(axis=-1, keepdims=True) * amps).max())
+    return float(worst)
+
+
+def mean_field_energy(amps: np.ndarray, geometry, p: ModelParams) -> float:
+    """E = sum over bonds of Jx sx_i sx_j + Jy sy_i sy_j + Jz sz_i sz_j."""
+    s = bloch_vectors(amps)
+    i, j = np.array(bonds(geometry)).T
+    return float(((s[i] * s[j]) @ np.array([p.jx, p.jy, p.jz])).sum())
+
+
+def energy_drifts(amps: np.ndarray, geometry, p: ModelParams, t: float, dts) -> list[float]:
+    """|E(t) - E(0)| of the RK4 drift from amps, one per step size."""
+    out = []
+    for dt in dts:
+        kernel = _DriftKernel(geometry, p)
+        x = amps
+        for _ in range(round(t / dt)):
+            x = deterministic_step(x, geometry, p, dt, kernel=kernel)
+        out.append(abs(mean_field_energy(x, geometry, p) - mean_field_energy(amps, geometry, p)))
+    return out
 
 
 def apply_jump(i: int, amps: np.ndarray) -> np.ndarray:
@@ -319,6 +359,28 @@ class TestDriftKernel:
         path = row_ensemble(down_state(16), lambda a, rng: advance(a, g, P_FERRO, StepConfig(), rng),
                             lambda a: a, traj, StepConfig(), range(rows or 1))
         assert [jumps.tolist() for _, _, jumps in path] == [[0] * (rows or 1)] * 2
+
+
+class TestDriftReferees:
+    """The drift against the full-space physics, with no Monte Carlo noise:
+    errors in the mean-field formula that reference_derivatives would
+    share show here."""
+
+    @pytest.mark.parametrize("size", [(2, 1), (3, 1), (2, 2), (3, 3)], ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_drift_is_the_tdvp_projection(self, size):
+        g = build_lattice(*size)
+        rng = np.random.default_rng(g.n_sites)
+        p = ModelParams(*rng.uniform(-2, 2, size=3), gamma=rng.uniform(0, 2))
+        assert tdvp_residual([random_product_state(rng, g.n_sites) for _ in range(3)], g, p) < 1e-12
+
+    def test_energy_conserved_at_gamma_zero_to_rk4_order(self, rng):
+        # the exact manifold flow conserves E at gamma 0, and RK4 to its order:
+        # each halving of dt must cut the drift of E by at least 10
+        g = build_lattice(4, 4)
+        p = ModelParams(0.9, 1.7, 1.0, gamma=0.0)
+        drifts = energy_drifts(random_product_state(rng, 16), g, p, 10.0, (0.02, 0.01, 0.005))
+        assert drifts[0] >= 10 * drifts[1] and drifts[1] >= 10 * drifts[2]
+        assert drifts[2] < 1e-6
 
 
 class TestJumps:

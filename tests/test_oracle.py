@@ -2,8 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from conftest import random_product_state
+from gwmc.cli import main
 from gwmc.errors import ConfigError, NumericsError
 from gwmc.dynamics import (ModelParams, RngStream, SamplePath, StepConfig, TrajectoryConfig, TrajectoryStream,
                            run_trajectory)
@@ -39,7 +41,8 @@ SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 # arithmetic; the engines on the shared driver (gwmc.dynamics.SamplePath)
 # must match them bit for bit. They advance with the engine's own stepping
 # (FullWfmc._drift, DenseLindblad.integrate), so they check the cadence; the
-# stepping itself is checked against the RK4 stage sum in TestPropagator.
+# stepping itself is checked against the RK4 stage sum and scipy's expm in
+# TestPropagator.
 # They start from plus_x, as the cases below do.
 
 def _reference_rk4_combination(f, y, dt):
@@ -120,17 +123,6 @@ def reference_full_wfmc_ensemble(geometry, p, traj, step, n_traj, stream=0):
     return np.asarray(times), np.asarray(blochs), np.asarray(pairs)
 
 
-def _reference_integrate(system, rho, t, dt, check_interval=1.0):
-    rho = np.array(rho, dtype=np.complex128)
-    n_steps = int(round(t / dt))
-    check_every = max(1, int(round(check_interval / dt)))
-    for k in range(1, n_steps + 1):
-        rho = _reference_rk4_combination(system.rhs, rho, dt)
-        if k % check_every == 0 or k == n_steps:
-            rho = system._verify_and_restore(rho)
-    return rho
-
-
 def reference_dense_samples(system, traj, step):
     def sample(rho, t):
         sxx = float(structure_factor_from_pairs(system.pair_xx(rho))) if system.n > 1 else 0.0
@@ -141,7 +133,7 @@ def reference_dense_samples(system, traj, step):
     spp = max(1, int(round(traj.sample_interval / step.dt)))
     samples = [sample(rho, 0.0)]
     for n in range(spp, n_steps + 1, spp):
-        rho = system.integrate(rho, spp * step.dt, step.dt)
+        rho = system.integrate(rho, spp * step.dt)
         samples.append(sample(rho, n * step.dt))
     return samples
 
@@ -233,13 +225,13 @@ class TestIntegration:
         rho = product_density(plus_x_state(1))
         system = DenseLindblad(g, P_FERRO)
         for t in (0.5, 1.0, 2.0):
-            rho_t = system.integrate(rho, t, dt=0.002)
+            rho_t = system.integrate(rho, t)
             assert np.allclose(system.site_bloch(rho_t)[0], single_spin_analytic(t, (1, 0, 0)), atol=1e-8)
 
     def test_xxz_relaxes_to_all_down(self):
         g = build_lattice(2, 1)
         p = ModelParams(0.9, 0.9, 1.0)
-        rho = DenseLindblad(g, p).integrate(product_density(plus_x_state(2)), t=40.0, dt=0.002)
+        rho = DenseLindblad(g, p).integrate(product_density(plus_x_state(2)), t=40.0)
         bloch = DenseLindblad(g, p).site_bloch(rho)
         assert np.abs(bloch - np.array([0.0, 0.0, -1.0])).max() < 1e-4
         # pure steady state
@@ -249,7 +241,7 @@ class TestIntegration:
         g = build_lattice(2, 1)
         p = ModelParams(0.9, 1.2, 1.0, gamma=0.0)
         rho0 = product_density(plus_x_state(2))
-        rho = DenseLindblad(g, p).integrate(rho0, t=5.0, dt=0.002)
+        rho = DenseLindblad(g, p).integrate(rho0, t=5.0)
         assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-8)
 
     def test_density_matrix_invariants_held(self):
@@ -258,6 +250,32 @@ class TestIntegration:
         assert np.abs(rho - rho.conj().T).max() < 1e-10
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.eigvalsh(rho)[0] > -1e-8
+
+    @pytest.mark.parametrize("width,height", [(2, 2), (4, 1)])
+    def test_unitary_limit_keeps_a_pure_state_positive(self, width, height, rng):
+        # at gamma 0, exp(L t) is rho -> U rho U^+, so a pure state's zero
+        # eigenvalues stay zero to rounding, far inside the -1e-8 check
+        g = build_lattice(width, height)
+        system = DenseLindblad(g, ModelParams(0.9, 1.2, 1.0, gamma=0.0))
+        rho = product_density(random_product_state(rng, g.n_sites))
+        for _ in range(20):
+            rho = system.integrate(rho, 1.0)
+            assert np.linalg.eigvalsh(rho)[0] > -1e-12
+
+    def test_exact_run_in_the_unitary_limit(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--engine", "exact", "--width", "2", "--height", "2", "--gamma", "0",
+                     "--t-total", "2", "--burn-in", "0"]) == 0
+
+    @pytest.mark.parametrize("dt", ["0.01", "0.05"])
+    def test_exact_run_matches_single_spin_analytic(self, dt, tmp_path, monkeypatch):
+        # the exact engine has no time step: dt sets only its sample grid
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--engine", "exact", "--width", "1", "--height", "1", "--dt", dt,
+                     "--t-total", "20", "--burn-in", "0", "--out", "w"]) == 0
+        rows = np.loadtxt(tmp_path / "w_series.csv", delimiter=",", skiprows=1)
+        assert len(rows) == 21
+        assert np.abs(rows[:, 1:4] - single_spin_analytic(rows[:, 0], (1, 0, 0))).max() < 1e-12
 
     @pytest.mark.parametrize("engine,width,height,refused", [
         pytest.param(DenseLindblad, 3, 2, True, id="exact-3x2"),
@@ -276,23 +294,23 @@ class TestIntegration:
 
 
 class TestPropagator:
-    """The oracle engines step by RK4's propagator matrix; it must agree
-    with the RK4 stage sum it replaces."""
+    """The full-space drift steps by RK4's propagator matrix, which must agree
+    with the RK4 stage sum it replaces; the master equation steps by its exact
+    propagator, which must agree with scipy's expm."""
 
     @pytest.mark.parametrize("width,height", [(1, 1), (2, 1), (2, 2)])
-    def test_integrate_matches_rk4_loop(self, width, height):
-        # 3.7 is not a whole number of 1.0 check intervals: three full
-        # powers and one remainder power
+    def test_integrate_matches_expm(self, width, height):
+        # 3.7 is not a whole number of 1.0 check intervals: three whole
+        # intervals and one remainder
         g = build_lattice(width, height)
         system = DenseLindblad(g, P_FERRO)
         rho0 = product_density(plus_x_state(g.n_sites))
-        got = system.integrate(rho0, 3.7, dt=0.002)
-        want = _reference_integrate(system, rho0, 3.7, 0.002)
+        got = system.integrate(rho0, 3.7)
+        want = (expm(3.7 * system._generator) @ rho0.ravel()).reshape(rho0.shape)
         assert np.abs(got - want).max() < 1e-12
 
-    @pytest.mark.parametrize("t", [0.0, -2.0, 0.0009])
+    @pytest.mark.parametrize("t", [0.0, -2.0])
     def test_integrate_without_steps_returns_input(self, t):
-        # under half a step rounds to no step, as the trajectory driver counts
         system = DenseLindblad(build_lattice(2, 1), P_FERRO)
         rho0 = product_density(plus_x_state(2))
         assert np.array_equal(system.integrate(rho0, t), rho0)
@@ -300,7 +318,7 @@ class TestPropagator:
     @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
     def test_integrate_refuses_non_finite_horizon(self, t):
         system = DenseLindblad(build_lattice(2, 1), P_FERRO)
-        with pytest.raises(ConfigError, match="not a finite step count"):
+        with pytest.raises(ConfigError, match="must be finite"):
             system.integrate(product_density(plus_x_state(2)), t)
 
     def test_full_drift_matches_rk4_sum(self, rng):
@@ -404,7 +422,7 @@ class TestFullWfmc:
         rho = product_density(plus_x_state(2))
         prev = 0.0
         for t_chk in (1.0, 3.0):
-            rho = sys2.integrate(rho, t_chk - prev, dt=0.002)
+            rho = sys2.integrate(rho, t_chk - prev)
             prev = t_chk
             idx = int(np.argmin(np.abs(times - t_chk)))
             for vals, exact in (
