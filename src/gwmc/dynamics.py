@@ -24,9 +24,10 @@ Each engine has one path maker: :func:`batch_samples` here, and
 ``FullWfmc.path`` and ``DenseLindblad.path`` in :mod:`gwmc.oracle`; the
 trajectory engines' run through :func:`row_ensemble`. Every path observes
 per-row (bloch, sxx, ...): Bloch vectors and the k = 0 structure factor,
-factorized here and exact there. ``TrajectoryStream(path)``, the one maker
-of Samples, reads row 0 of a one-row path; only a caller that reports the
-jump total calls its ``finish()``, for the steps after the last sample.
+factorized here; both exact paths observe (bloch, sxx, pair_xx), pair_xx
+the (n, n) matrix of <sigma_i^x sigma_j^x>. ``TrajectoryStream(path)``,
+the one maker of Samples, reads row 0 of a one-row path; only a caller
+that reports the jump total calls its ``finish()``, for the last steps.
 """
 
 from __future__ import annotations

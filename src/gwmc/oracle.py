@@ -4,8 +4,9 @@ unrestricted full-Hilbert-space trajectory simulation.
 These exist to validate the product-manifold engine and to measure the size
 of the manifold approximation, not for speed: states and density matrices are
 dense. State vectors are capped at 10 sites; the master equation, whose
-superoperator is 4^n x 4^n (16 MB at 5 sites, 268 MB at 6), at 5. Tests
-typically use 1, 2, or 4.
+superoperator is 4^n x 4^n (16 MB at 5 sites, 268 MB at 6), at 5.
+:func:`oracle_report`, on 1, 2 or 4 sites, reads each engine's own path as
+it runs and keeps no ensemble, so its memory is flat in the horizon.
 
 Both engines are linear in their state between jumps, so each steps by a
 matrix from one Horner polynomial (:func:`_taylor`): the full-space drift by
@@ -20,6 +21,7 @@ matching a Kronecker-product build in site order.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -33,14 +35,14 @@ from .dynamics import (
     TrajectoryResult,
     TrajectoryStream,
     _unravel,
+    batch_samples,
     initial_product_state,
     row_ensemble,
-    run_ensemble,
 )
 from .errors import ConfigError, NumericsError
 from .lattice import LatticeGeometry, bonds, build_lattice
 from .observables import ensemble_means
-from .state import NORM2_FLOOR, NORM2_MAX, plus_x_state
+from .state import NORM2_FLOOR, NORM2_MAX
 
 MAX_SITES = 10  # full-space state vectors and Hamiltonians
 MAX_DENSE_SITES = 5  # dense master equation: a 4^n x 4^n superoperator
@@ -79,12 +81,17 @@ def _exp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def site_operator(op: np.ndarray, i: int, n: int) -> np.ndarray:
-    """Embed a single-site operator at site i of an n-site system."""
+def _embed(ops: dict[int, np.ndarray], n: int) -> np.ndarray:
+    """ops[k] at each site k and the identity elsewhere: one Kronecker product in site order."""
     out = np.array([[1.0]], dtype=np.complex128)
     for k in range(n):
-        out = np.kron(out, op if k == i else np.eye(2, dtype=np.complex128))
+        out = np.kron(out, ops.get(k, np.eye(2, dtype=np.complex128)))
     return out
+
+
+def site_operator(op: np.ndarray, i: int, n: int) -> np.ndarray:
+    """Embed a single-site operator at site i of an n-site system."""
+    return _embed({i: op}, n)
 
 
 def build_hamiltonian(geometry: LatticeGeometry, p: ModelParams) -> np.ndarray:
@@ -94,9 +101,9 @@ def build_hamiltonian(geometry: LatticeGeometry, p: ModelParams) -> np.ndarray:
     dim = 2**n
     h = np.zeros((dim, dim), dtype=np.complex128)
     for i, j in bonds(geometry):
-        h += p.jx * site_operator(SIGMA_X, i, n) @ site_operator(SIGMA_X, j, n)
-        h += p.jy * site_operator(SIGMA_Y, i, n) @ site_operator(SIGMA_Y, j, n)
-        h += p.jz * site_operator(SIGMA_Z, i, n) @ site_operator(SIGMA_Z, j, n)
+        h += p.jx * _embed({i: SIGMA_X, j: SIGMA_X}, n)
+        h += p.jy * _embed({i: SIGMA_Y, j: SIGMA_Y}, n)
+        h += p.jz * _embed({i: SIGMA_Z, j: SIGMA_Z}, n)
     return h
 
 
@@ -220,9 +227,7 @@ class DenseLindblad:
         herm_dev = np.abs(rho - rho.conj().T).max()
         trace_dev = abs(rho.trace().real - 1.0) + abs(rho.trace().imag)
         if herm_dev > 1e-10 or trace_dev > 1e-10:
-            raise NumericsError(
-                f"density matrix invariants broken (herm {herm_dev:.2e}, trace {trace_dev:.2e}); reduce dt"
-            )
+            raise NumericsError(f"density matrix invariants broken (herm {herm_dev:.2e}, trace {trace_dev:.2e})")
         rho = 0.5 * (rho + rho.conj().T)
         rho /= rho.trace().real
         min_eig = float(np.linalg.eigvalsh(rho)[0])
@@ -257,15 +262,17 @@ class DenseLindblad:
     def path(self, traj: TrajectoryConfig, step: StepConfig) -> SamplePath:
         """The one-row :class:`gwmc.dynamics.SamplePath` of rho from the
         configured initial product state, on the trajectory engines'
-        cadence, with no jumps; each sample observes (bloch, sxx), of shapes
-        (1, n, 3) and (1,). Each step of the path integrates one whole
-        sample interval exactly; dt sets only the sample grid."""
+        cadence, with no jumps; each sample observes (bloch, sxx, pair_xx),
+        of shapes (1, n, 3), (1,) and (1, n, n), as ``FullWfmc.path`` does.
+        Each step of the path integrates one whole sample interval exactly;
+        dt sets only the sample grid."""
 
         def advance(rho, k):
             return self.integrate(rho, k * step.dt), np.zeros(1, dtype=np.int64)
 
         def observe(rho):
-            return self.site_bloch(rho)[None], structure_factor_from_pairs(self.pair_xx(rho)[None])
+            xx = self.pair_xx(rho)[None]
+            return self.site_bloch(rho)[None], structure_factor_from_pairs(xx), xx
 
         rho0 = product_density(initial_product_state(traj, self.n))
         return SamplePath(rho0, advance, observe, traj, step)
@@ -427,13 +434,14 @@ def oracle_report(
 ) -> OracleReport:
     """Run the oracle consistency checks and return pass/fail per invariant.
 
-    Checks: the analytic single-spin solution against the dense integrator,
-    trajectory-ensemble averages against the master equation at checkpoint
-    times (3 standard errors), the XXZ all-down steady state, and for n >= 2
-    that the manifold engine shows a finite, resolvable approximation residual
-    against the exact solution (a manifold engine that exactly reproduces the
-    full dynamics for generic couplings would be wrong). The single-spin and
-    dark-state checks are stated in units of 1/gamma, so gamma must be positive.
+    Checks: the analytic single-spin solution against the dense path,
+    full-space trajectory-ensemble averages against it at checkpoint times
+    (3 standard errors), the XXZ all-down steady state, and for n >= 2 that
+    the manifold engine shows a finite, resolvable approximation residual
+    against it (a manifold engine that exactly reproduces the full dynamics
+    for generic couplings would be wrong). Each engine's path is read as it
+    runs, one sample per 1/gamma, and no ensemble is kept. The single-spin
+    and dark-state checks are stated in units of 1/gamma, so gamma > 0.
     """
     if n_sites not in _GEOMETRY_FOR_SITES:
         raise ConfigError(f"oracle check supports site counts {sorted(_GEOMETRY_FOR_SITES)}, got {n_sites}")
@@ -445,50 +453,40 @@ def oracle_report(
         raise ConfigError(f"oracle check needs t_total of at least {_CHECKPOINTS[0]:g}, "
                           f"its first checkpoint, got {t_total:g}")
     geometry = build_lattice(*_GEOMETRY_FOR_SITES[n_sites])
-    checks: list[CheckResult] = []
-
-    # 1. dense integrator vs closed-form single spin
-    sys1 = DenseLindblad(build_lattice(1, 1), p)
-    rho = product_density(plus_x_state(1))
-    dev = 0.0
-    prev = 0.0
-    for t_chk in (1.0, 2.0, 5.0):
-        rho = sys1.integrate(rho, t_chk - prev)
-        prev = t_chk
-        exact = single_spin_analytic(p.gamma * t_chk, (1, 0, 0))  # at the dimensionless time
-        dev = max(dev, float(np.abs(sys1.site_bloch(rho)[0] - exact).max()))
-    checks.append(CheckResult("single_spin_analytic", dev <= 1e-6, dev, 1e-6))
-
-    # 2. unraveling exactness at checkpoint times
     traj = TrajectoryConfig(t_total=t_total, sample_interval=1.0, seed=seed)
     step = StepConfig(dt=dt)
+    checks: list[CheckResult] = []
+
+    # 1. dense path vs closed-form single spin; sample j is at t = j
+    one = DenseLindblad(build_lattice(1, 1), p).path(replace(traj, t_total=5.0), step)
+    dev = max(float(np.abs(bloch[0, 0] - single_spin_analytic(p.gamma * j, (1, 0, 0))).max())
+              for j, (_, (bloch, *_), _) in enumerate(one) if j in (1, 2, 5))  # at the dimensionless time
+    checks.append(CheckResult("single_spin_analytic", dev <= 1e-6, dev, 1e-6))
+
+    # 2. unraveling exactness at checkpoint times. The full-space path stops at the last
+    # checkpoint, the last time it is read; first in the zip, it ends the zip before the dense path moves on.
     checkpoints = [t for t in _CHECKPOINTS if t <= t_total + 1e-9]
-    # the full-space ensemble stops at the last checkpoint, the last time it is read
-    times, blochs, pairs = full_wfmc_ensemble(geometry, p, replace(traj, t_total=checkpoints[-1]), step, n_traj)
-    sys_n = DenseLindblad(geometry, p)
-    rho = rho0 = product_density(initial_product_state(traj, n_sites))  # the ensembles' start
-    worst = 0.0
-    prev_t = 0.0
-    ok = True
-    for t_chk in checkpoints:
-        rho = sys_n.integrate(rho, t_chk - prev_t)
-        prev_t = t_chk
-        idx = int(np.argmin(np.abs(times - t_chk)))
+    full = FullWfmc(geometry, p).path(replace(traj, t_total=checkpoints[-1]), step, range(n_traj))
+    dense = iter(DenseLindblad(geometry, p).path(traj, step))
+    worst, ok = 0.0, True
+    for j, ((_, (f_bloch, _, f_xx), _), (_, (bloch, _, xx), _)) in enumerate(zip(full, dense)):
+        if j not in checkpoints:
+            continue
         # per-trajectory <sigma_1^x>, and <sigma_1^x sigma_2^x> on two or more sites
-        observables = [(blochs[idx, :, 0, 0], sys_n.site_bloch(rho)[0, 0])]
+        observables = [(f_bloch[:, 0, 0], bloch[0, 0, 0])]
         if n_sites >= 2:
-            observables.append((pairs[idx, :, 0, 1], sys_n.pair_xx(rho)[0, 1]))
+            observables.append((f_xx[:, 0, 1], xx[0, 0, 1]))
         for vals, exact in observables:
             mean, se = ensemble_means(vals)
             lhs = abs(mean - exact)
             ok &= lhs <= 3.0 * se + 1e-12
             worst = max(worst, lhs / max(se, 1e-300))
+    del full  # its stream block and states go before the manifold ensemble runs
     checks.append(CheckResult("unraveling_exactness", ok, worst, 3.0, "max |dev|/SE over checkpoints"))
 
     # 3. XXZ exact steady state: all spins down
-    p_xxz = ModelParams(jx=p.jx, jy=p.jx, jz=p.jz, gamma=p.gamma)
-    sys_xxz = DenseLindblad(geometry, p_xxz)
-    rho_ss = sys_xxz.integrate(rho0, 40.0 / p.gamma)
+    sys_xxz = DenseLindblad(geometry, ModelParams(jx=p.jx, jy=p.jx, jz=p.jz, gamma=p.gamma))
+    rho_ss = sys_xxz.integrate(product_density(initial_product_state(traj, n_sites)), 40.0 / p.gamma)
     dark_dev = float(np.abs(sys_xxz.site_bloch(rho_ss) - np.array([0.0, 0.0, -1.0])).max())
     checks.append(CheckResult("xxz_dark_state", dark_dev <= 1e-4, dark_dev, 1e-4))
 
@@ -496,12 +494,12 @@ def oracle_report(
     # Measured at the end of the run, where the gap has accumulated, on the
     # streams after the full-space ensemble's, so that no stream feeds two rows.
     if n_sites >= 2:
-        g_times, g_blochs = run_ensemble(geometry, p, traj, step, n_traj, stream=n_traj)
-        rho = sys_n.integrate(rho, float(g_times[-1]) - prev_t)
-        pair_vals = g_blochs[-1, :, 0, 0] * g_blochs[-1, :, 1, 0]
-        mean, se = ensemble_means(pair_vals)
-        residual = abs(mean - sys_n.pair_xx(rho)[0, 1])
+        for _, (_, _, xx), _ in dense:  # from the last checkpoint on to the last sample
+            pass
+        manifold = batch_samples(geometry, [p] * n_traj, traj, step, range(n_traj, 2 * n_traj))
+        t, (g_bloch, _), _ = deque(manifold, maxlen=1).pop()  # its last sample alone
+        mean, se = ensemble_means(g_bloch[:, 0, 0] * g_bloch[:, 1, 0])
+        residual = abs(mean - xx[0, 0, 1])
         checks.append(CheckResult("manifold_residual_resolved", residual > 3.0 * se, residual, 3.0 * se,
-                                  f"|<xx>_manifold - <xx>_exact| at t={g_times[-1]:g}"))
+                                  f"|<xx>_manifold - <xx>_exact| at t={t:g}"))
     return OracleReport(checks)
-

@@ -645,13 +645,18 @@ class TestStreaming:
             assert main(["correlate", *_run_args(tmp_path, "c", **off)]) == 0
             assert len(steps) == 2000
 
-    @pytest.mark.parametrize("command", ["run", "correlate"])
+    @pytest.mark.parametrize("command", ["run", "correlate", "oracle-check"])
     def test_peak_memory_bounded_in_the_horizon(self, tmp_path, command):
         # from T to 10 T the peak grows by far less than the (n, 3) Bloch
-        # history of the extra samples would take
+        # history of the extra samples would take: one 8x8 trajectory sampled
+        # every 0.1, or oracle-check's 2-site manifold ensemble of 300
+        # trajectories sampled every 1
         def peak(t_total):
-            args = _run_args(tmp_path, f"m{t_total}", width="8", height="8",
-                             **{"t-total": str(t_total), "burn-in": "0", "sample-interval": "0.1"})
+            if command == "oracle-check":
+                args = ["--sites", "2", "--trajectories", "300", "--t-total", str(t_total)]
+            else:
+                args = _run_args(tmp_path, f"m{t_total}", width="8", height="8",
+                                 **{"t-total": str(t_total), "burn-in": "0", "sample-interval": "0.1"})
             gc.collect()
             gc.disable()  # each run's garbage (its parser) then lives to the end, whenever a collection would come
             tracemalloc.start()
@@ -666,7 +671,10 @@ class TestStreaming:
         peak(t)  # first calls allocate once: imports, caches
         short = peak(t)
         grown = peak(10 * t) - short
-        history = round(9 * t / 0.1) * 64 * 3 * 8
+        if command == "oracle-check":
+            history = 9 * t * 300 * 2 * 3 * 8
+        else:
+            history = round(9 * t / 0.1) * 64 * 3 * 8
         assert grown < history / 4, (grown, history)
 
     @pytest.mark.parametrize("call", ["deterministic_step", "advance", "correlate"])

@@ -10,7 +10,7 @@ from gwmc.errors import ConfigError, NumericsError
 from gwmc.dynamics import (ModelParams, RngStream, SamplePath, StepConfig, TrajectoryConfig, TrajectoryStream,
                            run_trajectory)
 from gwmc import dynamics, oracle
-from gwmc.lattice import build_lattice
+from gwmc.lattice import bonds, build_lattice
 from gwmc.oracle import (
     DenseLindblad,
     FullWfmc,
@@ -165,6 +165,20 @@ class TestOperators:
         h = build_hamiltonian(g, ModelParams(1.0, 0.0, 0.0))
         expected = site_operator(SIGMA_X, 0, 2) @ site_operator(SIGMA_X, 1, 2)
         assert np.allclose(h, expected)
+
+    @pytest.mark.parametrize("width,height", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (4, 1)])
+    @pytest.mark.parametrize("p", [P_FERRO, ModelParams(1.0, 0.0, 0.0), ModelParams(-0.7, 1.3, 0.25, gamma=0.4)])
+    def test_hamiltonian_matches_two_embedding_product(self, width, height, p):
+        # each bond term, one Kronecker product, has the bits of the product
+        # of its two single-site embeddings, signed zeros included
+        g = build_lattice(width, height)
+        n = g.n_sites
+        want = np.zeros((2**n, 2**n), dtype=np.complex128)
+        for i, j in bonds(g):
+            want += p.jx * site_operator(SIGMA_X, i, n) @ site_operator(SIGMA_X, j, n)
+            want += p.jy * site_operator(SIGMA_Y, i, n) @ site_operator(SIGMA_Y, j, n)
+            want += p.jz * site_operator(SIGMA_Z, i, n) @ site_operator(SIGMA_Z, j, n)
+        assert build_hamiltonian(g, p).tobytes() == want.tobytes()
 
     def test_dimension_cap(self):
         with pytest.raises(ConfigError):
@@ -347,8 +361,9 @@ class TestPropagator:
         g = build_lattice(2, 1)
         rho0 = product_density(plus_x_state(2))
         DenseLindblad(g, P_FERRO).integrate(rho0, t)
-        with pytest.raises(NumericsError, match="trace"):
+        with pytest.raises(NumericsError, match="trace") as info:
             TraceLeak(g, P_FERRO).integrate(rho0, t)
+        assert "dt" not in str(info.value)  # the propagator has no time step to reduce
 
 
 class TestSingleSpinAnalytic:
@@ -551,6 +566,19 @@ class TestSharedDriver:
         assert len(path) == len(list(path)) == 5
         assert path.trapped_at == [None]
 
+    @pytest.mark.parametrize("width,height", [(1, 1), (2, 1), (2, 2)])
+    def test_dense_path_observes_bloch_sxx_and_pairs(self, width, height):
+        # each sample observes (bloch, sxx, pair_xx) of the path's rho, the
+        # layout of a one-row full-space path, bit for bit
+        g = build_lattice(width, height)
+        system = DenseLindblad(g, P_FERRO)
+        path = system.path(TrajectoryConfig(t_total=3.0, sample_interval=0.5), StepConfig())
+        for _, (bloch, sxx, xx), _ in path:
+            assert xx.shape == (1, g.n_sites, g.n_sites)
+            assert xx.tobytes() == system.pair_xx(path.state)[None].tobytes()
+            assert bloch.tobytes() == system.site_bloch(path.state)[None].tobytes()
+            assert sxx.tobytes() == structure_factor_from_pairs(xx).tobytes()
+
     def test_full_space_row_sxx_matches_solo(self):
         # each row's exact Sxx in a full-space ensemble observation is its
         # solo trajectory's sxx_inst, bit for bit (a 4-site stack of pair
@@ -631,11 +659,12 @@ class TestOracleReport:
     def test_full_space_ensemble_stops_at_the_last_checkpoint(self, monkeypatch, t_total, horizon):
         # checkpoints are 1, 2, 5 and 10: later samples would never be read
         horizons = []
+        path = FullWfmc.path
 
-        def recording(geometry, p, traj, *args, **kwargs):
+        def recording(self, traj, *args, **kwargs):
             horizons.append(traj.t_total)
-            return full_wfmc_ensemble(geometry, p, traj, *args, **kwargs)
+            return path(self, traj, *args, **kwargs)
 
-        monkeypatch.setattr(oracle, "full_wfmc_ensemble", recording)
+        monkeypatch.setattr(FullWfmc, "path", recording)
         assert oracle_report(1, P_FERRO, t_total=t_total, n_traj=2, seed=7).checks
         assert horizons == [horizon]

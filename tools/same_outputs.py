@@ -10,7 +10,10 @@ The list is the four benchmark workloads (``perfbench/run.py``), the
 ``sweep-jy`` workload again at one worker, a 4x4 ``run`` and ``correlate``
 at Jy = 1.0 that trap in the dark state (the correlate's batch means run
 over a nearly constant series), ``run --engine fullwfmc`` and ``--engine
-exact`` on 2x1, ``oracle-check`` on 1, 2 and 4 sites, and five lines at
+exact`` on 2x1, ``oracle-check`` on 1, 2 and 4 sites, ``oracle-check`` on
+2 sites at gamma 0.3 and t_total 7 (the dense and manifold paths run on
+past the last checkpoint, 5, and 40 / gamma leaves the XXZ integration a
+remainder interval), five lines at
 Jy = 1.8 whose t_total of 20.5 ends half a sample interval after the last
 sample: ``run`` on 4x4 and ``run --engine fullwfmc`` on 2x1, whose metas
 count the jumps of those steps, and ``sweep`` on 4x4, ``run --engine
@@ -65,6 +68,11 @@ def command_lines(seed: int):
                "--t-total", "20", "--burn-in", "2", *tail]
     for sites in ("1", "2", "4"):
         yield ["oracle-check", "--sites", sites, "--jy", "1.2", "--t-total", "5", "--trajectories", "1000", *tail]
+    # the full-space ensemble stops at 5 while the dense and manifold paths run on
+    # to 7, and 40 / 0.3 leaves a remainder interval in the XXZ integration;
+    # the last --gamma wins
+    yield ["oracle-check", "--sites", "2", "--jy", "1.2", "--t-total", "7", "--trajectories", "400", *tail,
+           "--gamma", "0.3"]
     # off the sampling cadence: 50 steps after the last sample; at Jy = 1.8
     # the 2x1 full-space run still jumps in them at seeds 1 and 41
     off = ["--jy", "1.8", "--t-total", "20.5", "--burn-in", "2", *tail]
