@@ -12,7 +12,6 @@ from .dynamics import (
     RngStream,
     StepConfig,
     TrajectoryConfig,
-    run_ensemble,
     run_trajectory,
 )
 from .lattice import LatticeGeometry, build_lattice
@@ -40,7 +39,6 @@ __all__ = [
     "magnetization",
     "mf_structure_factor",
     "mf_transition_point",
-    "run_ensemble",
     "run_trajectory",
     "structure_factor",
 ]

@@ -596,21 +596,3 @@ def run_trajectory(
     samples = TrajectoryStream(batch_samples(geometry, [p], traj, step, [stream]))
     return TrajectoryResult(list(samples), samples.trapped_at, samples.finish())
 
-
-def run_ensemble(
-    geometry: LatticeGeometry,
-    p: ModelParams,
-    traj: TrajectoryConfig,
-    step: StepConfig,
-    n_traj: int,
-    stream: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Advance n_traj independent trajectories as one batched state.
-
-    Returns (times, bloch) with bloch of shape (n_times, n_traj, n_sites, 3),
-    sampled on the same cadence as :func:`run_trajectory`. Row k draws from
-    stream ``stream + k``, so it is bit-identical to
-    ``run_trajectory(..., stream=stream + k)``.
-    """
-    samples = list(batch_samples(geometry, [p] * n_traj, traj, step, range(stream, stream + n_traj)))
-    return np.asarray([t for t, _, _ in samples]), np.asarray([b for _, (b, _), _ in samples])

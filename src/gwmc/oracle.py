@@ -7,6 +7,8 @@ dense. State vectors are capped at 10 sites; the master equation, whose
 superoperator is 4^n x 4^n (16 MB at 5 sites, 268 MB at 6), at 5.
 :func:`oracle_report`, on 1, 2 or 4 sites, reads each engine's own path as
 it runs and keeps no ensemble, so its memory is flat in the horizon.
+A caller collects a one-row path with ``TrajectoryStream(path)`` and an
+ensemble with ``zip(*path)``. Both engines read Bloch vectors by one rule.
 
 Both engines are linear in their state between jumps, so each steps by a
 matrix from one Horner polynomial (:func:`_taylor`): the full-space drift by
@@ -32,8 +34,6 @@ from .dynamics import (
     SamplePath,
     StepConfig,
     TrajectoryConfig,
-    TrajectoryResult,
-    TrajectoryStream,
     _unravel,
     batch_samples,
     initial_product_state,
@@ -89,11 +89,6 @@ def _embed(ops: dict[int, np.ndarray], n: int) -> np.ndarray:
     return out
 
 
-def site_operator(op: np.ndarray, i: int, n: int) -> np.ndarray:
-    """Embed a single-site operator at site i of an n-site system."""
-    return _embed({i: op}, n)
-
-
 def build_hamiltonian(geometry: LatticeGeometry, p: ModelParams) -> np.ndarray:
     """Dense XYZ Hamiltonian over the de-duplicated nearest-neighbor bonds."""
     n = geometry.n_sites
@@ -136,18 +131,25 @@ def product_density(amps: np.ndarray) -> np.ndarray:
     return np.outer(psi, np.conj(psi))
 
 
+def _bloch_rule(cross, prob: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Per-site Bloch vectors, (..., n, 3), by the one rule of both exact
+    engines: ``cross(i)`` gives the (..., dim) terms that sum to
+    <sigma_i^x>, conj(psi_b) psi_(b ^ mask_i) or rho[b ^ mask_i, b], and
+    ``prob`` the (..., dim) basis populations."""
+    out = np.empty(prob.shape[:-1] + (len(up), 3))
+    for i in range(len(up)):
+        terms = cross(i)
+        # sigma^y couples with +i into the down component, -i into the up one
+        out[..., i, 0] = terms.sum(axis=-1).real
+        out[..., i, 1] = (np.where(up[i], -1.0j, 1.0j) * terms).sum(axis=-1).real
+        out[..., i, 2] = (np.where(up[i], prob, -prob)).sum(axis=-1)
+    return out
+
+
 def pauli_expectations(psi: np.ndarray, n: int) -> np.ndarray:
     """Per-site Bloch vectors <sigma_i^alpha> of a state vector, (..., n, 3)."""
     flip, up = _up_tables(n)
-    prob = psi.real**2 + psi.imag**2
-    out = np.empty(psi.shape[:-1] + (n, 3))
-    for i in range(n):
-        cross = np.conj(psi) * psi[..., flip[i]]
-        # sigma^y couples with +i into the down component, -i into the up one
-        out[..., i, 0] = cross.sum(axis=-1).real
-        out[..., i, 1] = (np.where(up[i], -1.0j, 1.0j) * cross).sum(axis=-1).real
-        out[..., i, 2] = (np.where(up[i], prob, -prob)).sum(axis=-1)
-    return out
+    return _bloch_rule(lambda i: np.conj(psi) * psi[..., flip[i]], psi.real**2 + psi.imag**2, up)
 
 
 def pair_xx_expectations(psi: np.ndarray, n: int) -> np.ndarray:
@@ -237,27 +239,15 @@ class DenseLindblad:
 
     def site_bloch(self, rho: np.ndarray) -> np.ndarray:
         """Per-site Bloch vectors tr(rho sigma_i^alpha), shape (n, 3)."""
-        dim = 2**self.n
-        idx = np.arange(dim)
-        out = np.empty((self.n, 3))
-        diag = rho[idx, idx].real
-        for i in range(self.n):
-            cross = rho[idx, self.flip[i]]
-            out[i, 0] = cross.sum().real
-            # tr(rho sigma^y): matrix element <b^m|sigma^y|b> is +i when b is up
-            out[i, 1] = (np.where(self.up[i], 1.0j, -1.0j) * cross).sum().real
-            out[i, 2] = np.where(self.up[i], diag, -diag).sum()
-        return out
+        idx = np.arange(2**self.n)
+        # rho is hermitian: conj(rho[b, b ^ mask_i]) = rho[b ^ mask_i, b]
+        return _bloch_rule(lambda i: np.conj(rho[idx, self.flip[i]]), rho[idx, idx].real, self.up)
 
     def pair_xx(self, rho: np.ndarray) -> np.ndarray:
         """All tr(rho sigma_i^x sigma_j^x), shape (n, n); the diagonal is 1."""
         idx = np.arange(2**self.n)
         masks = _site_masks(self.n)
-        out = np.empty((self.n, self.n))
-        for i in range(self.n):
-            for j in range(self.n):
-                out[i, j] = rho[idx, idx ^ masks[i] ^ masks[j]].sum().real
-        return out
+        return rho[idx, idx ^ (masks[:, None] ^ masks)[..., None]].sum(axis=-1).real
 
     def path(self, traj: TrajectoryConfig, step: StepConfig) -> SamplePath:
         """The one-row :class:`gwmc.dynamics.SamplePath` of rho from the
@@ -344,40 +334,6 @@ class FullWfmc:
 
         psi = product_state_vector(initial_product_state(traj, self.n))
         return row_ensemble(psi, lambda x, rng: self.advance(x, step, rng), observe, traj, step, streams)
-
-
-def full_wfmc_trajectory(
-    geometry: LatticeGeometry,
-    p: ModelParams,
-    traj: TrajectoryConfig,
-    step: StepConfig = StepConfig(),
-    stream: int = 0,
-) -> TrajectoryResult:
-    """Single unrestricted trajectory with the manifold engine's sampling
-    cadence; samples carry exact per-site Bloch vectors and exact pair-based
-    instantaneous structure factors."""
-    samples = TrajectoryStream(FullWfmc(geometry, p).path(traj, step, [stream]))
-    return TrajectoryResult(list(samples), None, samples.finish())
-
-
-def full_wfmc_ensemble(
-    geometry: LatticeGeometry,
-    p: ModelParams,
-    traj: TrajectoryConfig,
-    step: StepConfig,
-    n_traj: int,
-    stream: int = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched unrestricted ensemble; row k draws from stream ``stream + k``,
-    so it is bit-identical to ``full_wfmc_trajectory(..., stream=stream + k)``.
-
-    Returns (times, bloch, pair_xx) with shapes (T,), (T, n_traj, n, 3) and
-    (T, n_traj, n, n); averaging the per-trajectory values reproduces the
-    master-equation expectations up to Monte Carlo error.
-    """
-    times, observed, _ = zip(*FullWfmc(geometry, p).path(traj, step, range(stream, stream + n_traj)))
-    blochs, _, pairs = zip(*observed)
-    return np.asarray(times), np.asarray(blochs), np.asarray(pairs)
 
 
 def single_spin_analytic(t, bloch0) -> np.ndarray:

@@ -55,20 +55,6 @@ def plus_x_state(n_sites: int, sign: int = +1) -> np.ndarray:
     return amps
 
 
-def down_state(n_sites: int) -> np.ndarray:
-    """All spins in the sigma^z = -1 state (the artificial dark state)."""
-    amps = np.zeros((n_sites, 2), dtype=np.complex128)
-    amps[:, 1] = 1.0
-    return amps
-
-
-def z2_flip(amps: np.ndarray) -> np.ndarray:
-    """Apply sigma^z per site: (sx, sy, sz) -> (-sx, -sy, sz) in Bloch terms."""
-    out = amps.copy()
-    out[..., 1] = -out[..., 1]
-    return out
-
-
 def renormalize(amps: np.ndarray) -> np.ndarray:
     """Rescale every spinor to unit norm; direction (and phase) preserved.
 

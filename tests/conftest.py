@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gwmc.dynamics import StepConfig, TrajectoryResult, TrajectoryStream, batch_samples
 from gwmc.oracle import FullWfmc
 
 
@@ -24,6 +25,51 @@ def random_product_state(rng, n_sites):
     """Uniformly random normalized spinors, one per site."""
     amps = rng.normal(size=(n_sites, 2)) + 1j * rng.normal(size=(n_sites, 2))
     return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+def down_state(n_sites):
+    """All spins in the sigma^z = -1 state (the artificial dark state)."""
+    amps = np.zeros((n_sites, 2), dtype=np.complex128)
+    amps[:, 1] = 1.0
+    return amps
+
+
+def z2_flip(amps):
+    """Apply sigma^z per site: (sx, sy, sz) -> (-sx, -sy, sz) in Bloch terms."""
+    out = amps.copy()
+    out[..., 1] = -out[..., 1]
+    return out
+
+
+def site_operator(op, i, n):
+    """op at site i of an n-site system and the identity elsewhere, one
+    Kronecker product in site order (site 0 is the most significant bit)."""
+    out = np.array([[1.0]], dtype=np.complex128)
+    for k in range(n):
+        out = np.kron(out, op if k == i else np.eye(2, dtype=np.complex128))
+    return out
+
+
+def run_ensemble(geometry, p, traj, step, n_traj, stream=0):
+    """(times, bloch) of n_traj manifold trajectories, bloch of shape
+    (n_times, n_traj, n_sites, 3); row k is ``run_trajectory(..., stream=stream + k)``."""
+    times, observed, _ = zip(*batch_samples(geometry, [p] * n_traj, traj, step, range(stream, stream + n_traj)))
+    return np.asarray(times), np.asarray([bloch for bloch, _ in observed])
+
+
+def full_wfmc_trajectory(geometry, p, traj, step=StepConfig(), stream=0):
+    """One full-space trajectory on the manifold engine's cadence, as a TrajectoryResult."""
+    samples = TrajectoryStream(FullWfmc(geometry, p).path(traj, step, [stream]))
+    return TrajectoryResult(list(samples), None, samples.finish())
+
+
+def full_wfmc_ensemble(geometry, p, traj, step, n_traj, stream=0):
+    """(times, bloch, pair_xx) of n_traj full-space trajectories, of shapes
+    (T,), (T, n_traj, n, 3) and (T, n_traj, n, n); row k is
+    ``full_wfmc_trajectory(..., stream=stream + k)``."""
+    times, observed, _ = zip(*FullWfmc(geometry, p).path(traj, step, range(stream, stream + n_traj)))
+    blochs, _, pairs = zip(*observed)
+    return np.asarray(times), np.asarray(blochs), np.asarray(pairs)
 
 
 # (t_total, sample_interval, dt, burn_in, kept samples) at the burn-in

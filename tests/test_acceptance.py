@@ -8,7 +8,7 @@ Criterion 8 (metastable switching on a 20,000/gamma horizon) carries the
 import numpy as np
 import pytest
 
-from conftest import random_product_state
+from conftest import down_state, full_wfmc_ensemble, random_product_state, run_ensemble, z2_flip
 from gwmc.cli import RunConfig, SweepConfig, run_sweep
 from gwmc.dynamics import (
     ModelParams,
@@ -17,7 +17,6 @@ from gwmc.dynamics import (
     TrajectoryConfig,
     advance,
     deterministic_step,
-    run_ensemble,
     run_trajectory,
 )
 from gwmc.lattice import build_lattice
@@ -30,8 +29,8 @@ from gwmc.observables import (
     mf_transition_point,
     structure_factor,
 )
-from gwmc.oracle import DenseLindblad, product_density, full_wfmc_ensemble
-from gwmc.state import bloch_vectors, down_state, plus_x_state, z2_flip
+from gwmc.oracle import DenseLindblad, product_density
+from gwmc.state import bloch_vectors, plus_x_state
 
 P_FERRO = ModelParams(jx=0.9, jy=1.2, jz=1.0)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CADENCE_CASES
+from conftest import CADENCE_CASES, down_state, full_wfmc_trajectory
 from gwmc import dynamics, oracle
 from gwmc.cli import (COMMANDS, ENGINES, RunConfig, SweepConfig, _base_meta, _fmt, _sweep_task, build_parser, main,
                       parse_kv_file, run_sweep)
@@ -20,7 +20,7 @@ from gwmc.dynamics import TrajectoryStream, batch_samples, run_trajectory
 from gwmc.errors import ConfigError, InsufficientDataError, NumericsError
 from gwmc.lattice import build_lattice
 from gwmc.observables import correlation_profile, instantaneous_structure_factor, magnetization
-from gwmc.state import down_state, plus_x_state, save_state_csv
+from gwmc.state import plus_x_state, save_state_csv
 
 
 def _read(path):
@@ -739,7 +739,7 @@ class TestStreaming:
             samples = list(TrajectoryStream(oracle.DenseLindblad(geometry, p).path(traj, step)))
             assert "total_jumps" not in meta
         else:
-            result = {"gutzwiller": run_trajectory, "fullwfmc": oracle.full_wfmc_trajectory}[engine](
+            result = {"gutzwiller": run_trajectory, "fullwfmc": full_wfmc_trajectory}[engine](
                 geometry, p, traj, step)
             samples = result.samples
             assert meta["total_jumps"] == str(result.total_jumps)
@@ -1037,3 +1037,10 @@ def test_benchmark_command_lines_parse(monkeypatch):
         for traced in (False, True):
             args = build_parser().parse_args(workload.argv(1, traced=traced))
             assert args.command == workload.subcommand
+
+
+def test_every_exported_name_is_in_the_package():
+    # a name left in __all__ after its import goes breaks `from gwmc import *`
+    import gwmc
+
+    assert [name for name in gwmc.__all__ if not hasattr(gwmc, name)] == []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import CADENCE_CASES, random_product_state
+from conftest import CADENCE_CASES, down_state, random_product_state, run_ensemble, z2_flip
 from gwmc.errors import ConfigError, NumericsError
 from gwmc.dynamics import (
     ModelParams,
@@ -19,7 +19,6 @@ from gwmc.dynamics import (
     deterministic_step,
     jump_probabilities,
     row_ensemble,
-    run_ensemble,
     run_trajectory,
 )
 from gwmc.lattice import bonds, build_lattice
@@ -27,12 +26,10 @@ from gwmc.observables import instantaneous_structure_factor
 from gwmc.oracle import DenseLindblad, FullWfmc, product_state_vector
 from gwmc.state import (
     bloch_vectors,
-    down_state,
     is_dark,
     plus_x_state,
     renormalize,
     save_state_csv,
-    z2_flip,
 )
 
 P_FERRO = ModelParams(jx=0.9, jy=1.2, jz=1.0)

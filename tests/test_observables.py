@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_product_state
+from conftest import down_state, random_product_state, z2_flip
 from gwmc.errors import InsufficientDataError
 from gwmc.dynamics import ModelParams
 from gwmc.lattice import build_lattice, pair_class_index
@@ -18,7 +18,7 @@ from gwmc.observables import (
     mf_transition_point,
     structure_factor,
 )
-from gwmc.state import bloch_vectors, down_state, plus_x_state, z2_flip
+from gwmc.state import bloch_vectors, plus_x_state
 
 
 def _bloch_samples(sx_rows, burn_in_flags=None):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import random_product_state
+from conftest import full_wfmc_ensemble, full_wfmc_trajectory, random_product_state, site_operator
 from gwmc.cli import main
 from gwmc.errors import ConfigError, NumericsError
 from gwmc.dynamics import (ModelParams, RngStream, SamplePath, StepConfig, TrajectoryConfig, TrajectoryStream,
@@ -19,14 +19,11 @@ from gwmc.oracle import (
     SIGMA_Z,
     product_density,
     build_hamiltonian,
-    full_wfmc_ensemble,
-    full_wfmc_trajectory,
     oracle_report,
     pair_xx_expectations,
     pauli_expectations,
     product_state_vector,
     single_spin_analytic,
-    site_operator,
     structure_factor_from_pairs,
 )
 from gwmc.observables import Sample, StructureFactorEstimate, structure_factor
@@ -210,6 +207,100 @@ class TestOperators:
             for j in range(n):
                 op = site_operator(SIGMA_X, i, n) @ site_operator(SIGMA_X, j, n)
                 assert xx[i, j] == pytest.approx((np.conj(psi) @ op @ psi).real, abs=1e-12)
+
+
+def _tables(n):
+    """(flip, up, masks): flip[i, b] = b ^ mask_i, up[i, b] = site i of b is up."""
+    b = np.arange(2**n)
+    masks = np.array([1 << (n - 1 - i) for i in range(n)])
+    return b ^ masks[:, None], (b & masks[:, None]) == 0, masks
+
+
+def _reference_pauli_expectations(psi, n):
+    flip, up, _ = _tables(n)
+    prob = psi.real**2 + psi.imag**2
+    out = np.empty(psi.shape[:-1] + (n, 3))
+    for i in range(n):
+        cross = np.conj(psi) * psi[..., flip[i]]
+        out[..., i, 0] = cross.sum(axis=-1).real
+        out[..., i, 1] = (np.where(up[i], -1.0j, 1.0j) * cross).sum(axis=-1).real
+        out[..., i, 2] = (np.where(up[i], prob, -prob)).sum(axis=-1)
+    return out
+
+
+def _reference_site_bloch(rho, n):
+    flip, up, _ = _tables(n)
+    idx = np.arange(2**n)
+    out = np.empty((n, 3))
+    diag = rho[idx, idx].real
+    for i in range(n):
+        cross = rho[idx, flip[i]]
+        out[i, 0] = cross.sum().real
+        out[i, 1] = (np.where(up[i], 1.0j, -1.0j) * cross).sum().real
+        out[i, 2] = np.where(up[i], diag, -diag).sum()
+    return out
+
+
+def _reference_pair_xx(rho, n):
+    _, _, masks = _tables(n)
+    idx = np.arange(2**n)
+    out = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            out[i, j] = rho[idx, idx ^ masks[i] ^ masks[j]].sum().real
+    return out
+
+
+def _random_mixed_state(rng, n):
+    """Three random pure states mixed with Dirichlet weights."""
+    psi = rng.normal(size=(3, 2**n)) + 1j * rng.normal(size=(3, 2**n))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    return np.einsum("k,ki,kj->ij", rng.dirichlet(np.ones(3)), psi, np.conj(psi))
+
+
+_SITES = {1: (1, 1), 2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}
+
+
+class TestBlochRule:
+    """Both exact engines read Bloch vectors through oracle._bloch_rule; it
+    must keep the bits of the per-site loops each engine had, written above
+    as the reference, and agree with traces against embedded operators."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_mixed_state_observables_match_operators(self, n, rng):
+        system = DenseLindblad(build_lattice(*_SITES[n]), P_FERRO)
+        for _ in range(5):
+            rho = _random_mixed_state(rng, n)
+            bloch, xx = system.site_bloch(rho), system.pair_xx(rho)
+            for i in range(n):
+                for a, sigma in enumerate((SIGMA_X, SIGMA_Y, SIGMA_Z)):
+                    want = np.trace(rho @ site_operator(sigma, i, n)).real
+                    assert abs(bloch[i, a] - want) < 1e-12
+                for j in range(n):
+                    want = np.trace(rho @ site_operator(SIGMA_X, i, n) @ site_operator(SIGMA_X, j, n)).real
+                    assert abs(xx[i, j] - want) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("batch", [(), (3,), (400,)])
+    def test_pauli_expectations_keep_the_loop_bits(self, n, batch, rng):
+        psi = rng.normal(size=batch + (2**n,)) + 1j * rng.normal(size=batch + (2**n,))
+        psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+        got = pauli_expectations(psi, n)
+        assert got.shape == batch + (n, 3)
+        assert got.tobytes() == _reference_pauli_expectations(psi, n).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_dense_observables_keep_the_loop_bits(self, n):
+        system = DenseLindblad(build_lattice(*_SITES[n]), P_FERRO)
+        rho = product_density(plus_x_state(n))
+        for _ in range(8):
+            rho = system.integrate(rho, 0.5)
+            assert system.site_bloch(rho).tobytes() == _reference_site_bloch(rho, n).tobytes()
+            xx = system.pair_xx(rho)
+            assert xx.shape == (n, n) and xx.tobytes() == _reference_pair_xx(rho, n).tobytes()
+            # the exact engines' Sxx reads the matrix in its layout
+            want = structure_factor_from_pairs(_reference_pair_xx(rho, n)[None])
+            assert structure_factor_from_pairs(xx[None]).tobytes() == want.tobytes()
 
 
 class TestLindbladRhs:

@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import random_product_state
+from conftest import down_state, random_product_state, z2_flip
 from gwmc.errors import NumericsError
 from gwmc.state import (
     bloch_vectors,
-    down_state,
     is_dark,
     load_state_csv,
     plus_x_state,
     renormalize,
     save_state_csv,
-    z2_flip,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)

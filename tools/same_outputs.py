@@ -10,7 +10,9 @@ The list is the four benchmark workloads (``perfbench/run.py``), the
 ``sweep-jy`` workload again at one worker, a 4x4 ``run`` and ``correlate``
 at Jy = 1.0 that trap in the dark state (the correlate's batch means run
 over a nearly constant series), ``run --engine fullwfmc`` and ``--engine
-exact`` on 2x1, ``oracle-check`` on 1, 2 and 4 sites, ``oracle-check`` on
+exact`` on 2x1, ``run --engine exact`` and ``--engine fullwfmc`` on 2x2
+(the 4-site exact observables to every written digit), ``oracle-check`` on
+1, 2 and 4 sites, ``oracle-check`` on
 2 sites at gamma 0.3 and t_total 7 (the dense and manifold paths run on
 past the last checkpoint, 5, and 40 / gamma leaves the XXZ integration a
 remainder interval), five lines at
@@ -65,6 +67,9 @@ def command_lines(seed: int):
     yield ["correlate", "--width", "4", "--height", "4", "--jy", "1.0", "--t-total", "80", "--burn-in", "10", *tail]
     for engine in ("fullwfmc", "exact"):
         yield ["run", "--engine", engine, "--width", "2", "--height", "1", "--jy", "1.2",
+               "--t-total", "20", "--burn-in", "2", *tail]
+    for engine in ("exact", "fullwfmc"):
+        yield ["run", "--engine", engine, "--width", "2", "--height", "2", "--jy", "1.2",
                "--t-total", "20", "--burn-in", "2", *tail]
     for sites in ("1", "2", "4"):
         yield ["oracle-check", "--sites", sites, "--jy", "1.2", "--t-total", "5", "--trajectories", "1000", *tail]
