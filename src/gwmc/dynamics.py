@@ -12,7 +12,8 @@ drift is integrated with classical RK4, recomputing the mean fields from the
 intermediate state at every stage (Jacobi-style: all sites see the same stage
 snapshot), and renormalizing after the full step. Decay is unraveled by
 first-order jump sampling, :func:`_unravel`, the step of both trajectory
-engines: here a jumped site collapses to the down state.
+engines and the one statement of the jump probability gamma * dt * <n_up>:
+here a jumped site collapses to the down state.
 
 All state-level functions accept leading batch dimensions, so m
 trajectories on one lattice are advanced as one (m, n_sites, 2) array by
@@ -40,7 +41,7 @@ import numpy as np
 from .errors import ConfigError
 from .lattice import LatticeGeometry
 from .observables import Sample, instantaneous_structure_factor
-from .state import bloch_vectors, is_dark, load_state_csv, plus_x_state, renormalize
+from .state import _abs2, bloch_vectors, is_dark, load_state_csv, plus_x_state, renormalize
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -320,12 +321,6 @@ def deterministic_step(
     return renormalize(kernel(amps, dt, active))
 
 
-def jump_probabilities(amps: np.ndarray, p: ModelParams, dt: float) -> np.ndarray:
-    """First-order per-site jump probabilities gamma * dt * |amp_up|^2."""
-    u = amps[..., 0]
-    return (p.gamma * dt) * (u.real**2 + u.imag**2)
-
-
 def _check_jump_ceiling(gamma: float, dt: float) -> None:
     if gamma * dt > MAX_JUMP_PROB:
         raise ConfigError(f"gamma*dt = {gamma * dt:g} exceeds max_jump_prob = {MAX_JUMP_PROB:g}")
@@ -336,17 +331,18 @@ _NO_JUMPS = np.empty((0, 32), dtype=np.intp)
 _NO_JUMPS.flags.writeable = False
 
 
-def _unravel(state, gamma: float, step: StepConfig, probs: np.ndarray, rng, collapse, drift):
+def _unravel(state, gamma: float, step: StepConfig, n_up: np.ndarray, rng, collapse, drift):
     """The first-order unraveling step of both trajectory engines (Dalibard,
-    Castin & Molmer, PRL 68, 580 (1992)). Each row draws one uniform per site
-    from its stream, in site order; a site jumps if it is below ``probs``,
-    gamma * dt * <n_up> before the step. ``collapse(state, jumped)`` applies
+    Castin & Molmer, PRL 68, 580 (1992)), and the one home of its rule. Each
+    row draws one uniform per site from its stream, in site order; a site
+    jumps if it is below gamma * dt * <n_up>, from ``n_up``, the (..., n)
+    up-populations before the step. ``collapse(state, jumped)`` applies
     the jumps, then ``drift(state, jumped or None)`` takes the renormalized
     RK4 step. The one rule the engines differ in: a manifold site that jumped
     holds through the rest of its step (the masked drift), a full-space state
     drifts whole. Returns (new state, a (site,) or (row, site) per jump)."""
     _check_jump_ceiling(gamma, step.dt)
-    jumped = rng.random(size=probs.shape) < probs
+    jumped = rng.random(size=n_up.shape) < (gamma * step.dt) * n_up
     if jumped.any():
         return drift(collapse(state, jumped), jumped), np.argwhere(jumped)
     return drift(state, None), _NO_JUMPS[:, :jumped.ndim]
@@ -360,8 +356,9 @@ def advance(
     rng: np.random.Generator,
     kernel: _DriftKernel | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One :func:`_unravel` step: a jumped site collapses to the down state
-    and holds, the others take :func:`deterministic_step`'s masked drift."""
+    """One :func:`_unravel` step on the sites' up-populations |u|^2: a jumped
+    site collapses to the down state and holds, the others take
+    :func:`deterministic_step`'s masked drift."""
     def collapse(a, jumped):
         a = a.copy()
         a[jumped, :] = (0.0, 1.0)
@@ -370,7 +367,7 @@ def advance(
     def drift(a, jumped):
         return deterministic_step(a, geometry, p, step.dt, None if jumped is None else ~jumped, kernel)
 
-    return _unravel(amps, p.gamma, step, jump_probabilities(amps, p, step.dt), rng, collapse, drift)
+    return _unravel(amps, p.gamma, step, _abs2(amps[..., 0]), rng, collapse, drift)
 
 
 def initial_product_state(traj: TrajectoryConfig, n_sites: int) -> np.ndarray:

@@ -17,7 +17,7 @@ exp(L t), so that it has no time step.
 
 Basis convention: basis index b encodes site i in bit (n-1-i), with bit value
 0 meaning sigma^z = +1 (up). Site 0 is therefore the most significant bit,
-matching a Kronecker-product build in site order.
+matching the one Kronecker-product build in site order, :func:`_kron_sites`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -81,12 +81,16 @@ def _exp(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kron_sites(factors) -> np.ndarray:
+    """The Kronecker product of one factor per site, in site order, so that
+    site 0 is the most significant bit; spinors give a state vector, 2x2
+    operators a matrix (np.kron of the one-element start returns the first)."""
+    return reduce(np.kron, factors, np.ones(1, dtype=np.complex128))
+
+
 def _embed(ops: dict[int, np.ndarray], n: int) -> np.ndarray:
-    """ops[k] at each site k and the identity elsewhere: one Kronecker product in site order."""
-    out = np.array([[1.0]], dtype=np.complex128)
-    for k in range(n):
-        out = np.kron(out, ops.get(k, np.eye(2, dtype=np.complex128)))
-    return out
+    """ops[k] at each site k and the identity elsewhere."""
+    return _kron_sites(ops.get(k, np.eye(2, dtype=np.complex128)) for k in range(n))
 
 
 def build_hamiltonian(geometry: LatticeGeometry, p: ModelParams) -> np.ndarray:
@@ -119,10 +123,7 @@ def _up_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def product_state_vector(amps: np.ndarray) -> np.ndarray:
     """Full 2^n state vector of a site-factorized state."""
-    psi = np.array([1.0], dtype=np.complex128)
-    for row in amps:
-        psi = np.kron(psi, row)
-    return psi
+    return _kron_sites(amps)
 
 
 def product_density(amps: np.ndarray) -> np.ndarray:
@@ -280,8 +281,9 @@ class FullWfmc:
         self.n = geometry.n_sites
         self.p = p
         self.flip, self.up = _up_tables(self.n)
+        self.up_sites = self.up.T.astype(float)  # (dim, n): population @ up_sites is each site's <n_up>
         h = build_hamiltonian(geometry, p)
-        self.h_eff = h - 0.5j * p.gamma * np.diag(self.up.sum(axis=0).astype(complex))
+        self.h_eff = h - 0.5j * p.gamma * np.diag(self.up_sites.sum(axis=1))
         self._drift_steps: dict[float, np.ndarray] = {}
 
     def _drift(self, psi: np.ndarray, dt: float) -> np.ndarray:
@@ -300,10 +302,6 @@ class FullWfmc:
             raise NumericsError("state norm vanished or is not finite in full-space trajectory")
         return psi / np.sqrt(norm2)[..., None]
 
-    def jump_probabilities(self, psi: np.ndarray, dt: float) -> np.ndarray:
-        prob = psi.real**2 + psi.imag**2
-        return (self.p.gamma * dt) * (prob @ self.up.T.astype(float))
-
     def apply_jump(self, psi: np.ndarray, site: int) -> np.ndarray:
         return self._renorm(np.where(self.up[site], 0.0, psi[..., self.flip[site]]))
 
@@ -317,10 +315,11 @@ class FullWfmc:
 
     def advance(self, psi: np.ndarray, step: StepConfig,
                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """One :func:`gwmc.dynamics._unravel` step: the jumps in site order,
-        then the whole state's drift."""
-        return _unravel(psi, self.p.gamma, step, self.jump_probabilities(psi, step.dt), rng, self._collapse,
-                        lambda x, _: self._renorm(self._drift(x, step.dt)))
+        """One :func:`gwmc.dynamics._unravel` step on each site's <n_up>,
+        the basis populations summed over the states where the site is up:
+        the jumps in site order, then the whole state's drift."""
+        return _unravel(psi, self.p.gamma, step, (psi.real**2 + psi.imag**2) @ self.up_sites, rng,
+                        self._collapse, lambda x, _: self._renorm(self._drift(x, step.dt)))
 
     def path(self, traj: TrajectoryConfig, step: StepConfig, streams) -> SamplePath:
         """:func:`gwmc.dynamics.row_ensemble` from the configured initial

@@ -5,6 +5,7 @@ from scipy import stats
 from conftest import CADENCE_CASES, down_state, random_product_state, run_ensemble, z2_flip
 from gwmc.errors import ConfigError, NumericsError
 from gwmc.dynamics import (
+    MAX_JUMP_PROB,
     ModelParams,
     _DriftKernel,
     _stack_params,
@@ -17,7 +18,6 @@ from gwmc.dynamics import (
     batch_samples,
     cadence,
     deterministic_step,
-    jump_probabilities,
     row_ensemble,
     run_trajectory,
 )
@@ -380,14 +380,49 @@ class TestDriftReferees:
         assert drifts[2] < 1e-6
 
 
+UP, DOWN, PLUS_X = np.array([1.0, 0.0], complex), np.array([0.0, 1.0], complex), plus_x_state(1)[0]
+
+
+def _boundary_case(engine, gamma, dt):
+    """(one step of ``engine`` with a given rng, each site's <n_up>, read off
+    the state here): a 3x1 manifold row of up, down and plus_x sites, or the
+    2x1 full-space state up x plus_x, whose site i is up in the basis states
+    with bit (n-1-i) clear."""
+    p = ModelParams(0.9, 1.2, 1.0, gamma=gamma)
+    step = StepConfig(dt=dt)
+    if engine == "manifold":
+        amps = np.array([UP, DOWN, PLUS_X])
+        return lambda rng: advance(amps, build_lattice(3, 1), p, step, rng), np.abs(amps[:, 0]) ** 2
+    psi = product_state_vector(np.array([UP, PLUS_X]))
+    up = [(np.arange(4) >> (1 - i)) & 1 == 0 for i in range(2)]
+    full = FullWfmc(build_lattice(2, 1), p)
+    return lambda rng: full.advance(psi, step, rng), np.array([np.sum(np.abs(psi[u]) ** 2) for u in up])
+
+
 class TestJumps:
-    def test_probability_values(self):
-        p = ModelParams(0.9, 1.2, 1.0, gamma=1.0)
-        up = np.zeros((1, 2), complex)
-        up[0, 0] = 1.0
-        assert jump_probabilities(up, p, 0.01)[0] == pytest.approx(0.01)
-        assert jump_probabilities(down_state(1), p, 0.01)[0] == 0.0
-        assert jump_probabilities(plus_x_state(1), p, 0.01)[0] == pytest.approx(0.005)
+    @pytest.mark.parametrize("gamma, dt", [(1.0, 0.01), (2.5, 0.02)], ids=["gamma_dt_0.01", "gamma_dt_max"])
+    @pytest.mark.parametrize("engine, n_up", [("manifold", [1.0, 0.0, 0.5]), ("fullwfmc", [1.0, 0.5])],
+                             ids=["manifold", "fullwfmc"])
+    def test_rule_at_its_boundary(self, engine, n_up, gamma, dt):
+        # a site jumps if its uniform is below p = gamma * dt * <n_up>: at the
+        # draw just below p it jumps, at p it does not, so the engine's p is
+        # this one to the bit; a down site (p = 0) never jumps
+        step_with, measured = _boundary_case(engine, gamma, dt)
+        assert np.allclose(measured, n_up)
+        prob = (gamma * dt) * measured
+        _, events = step_with(_FixedDraws(np.nextafter(prob, 0.0)))
+        assert sorted(events[:, 0]) == list(np.flatnonzero(prob))
+        _, events = step_with(_FixedDraws(prob))
+        assert len(events) == 0
+
+    @pytest.mark.parametrize("engine", ["manifold", "fullwfmc"])
+    def test_ceiling_is_the_largest_accepted_gamma_dt(self, engine):
+        assert 2.5 * 0.02 == MAX_JUMP_PROB  # accepted: test_rule_at_its_boundary steps there
+        dt = np.nextafter(0.02, 1.0)
+        assert 2.5 * dt == np.nextafter(MAX_JUMP_PROB, 1.0)
+        step_with, n_up = _boundary_case(engine, 2.5, dt)
+        with pytest.raises(ConfigError, match="exceeds max_jump_prob"):
+            step_with(_FixedDraws(np.ones_like(n_up)))
 
     def test_apply_jump(self):
         amps = plus_x_state(4)

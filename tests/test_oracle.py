@@ -51,7 +51,7 @@ def _reference_rk4_combination(f, y, dt):
 
 
 def _reference_full_step(engine, psi, step, rng):
-    probs = engine.jump_probabilities(psi, step.dt)
+    probs = (engine.p.gamma * step.dt) * ((psi.real**2 + psi.imag**2) @ engine.up.T.astype(float))
     jumped = rng.random(size=probs.shape) < probs
     n_jumps = int(jumped.sum())
     if n_jumps:
@@ -490,15 +490,6 @@ class TestFullWfmc:
         p = ModelParams(0.9, 1.2, 1.0, gamma=0.0)
         res = full_wfmc_trajectory(g, p, TrajectoryConfig(t_total=5.0, seed=3))
         assert res.total_jumps == 0
-
-    def test_jump_probabilities(self):
-        g = build_lattice(2, 1)
-        engine = FullWfmc(g, P_FERRO)
-        psi = product_state_vector(plus_x_state(2))
-        assert np.allclose(engine.jump_probabilities(psi, 0.01), [0.005, 0.005])
-        up = np.zeros(4, complex)
-        up[0] = 1.0  # both sites up
-        assert np.allclose(engine.jump_probabilities(up, 0.01), [0.01, 0.01])
 
     def test_jump_operator_collapses_site(self):
         g = build_lattice(2, 1)

@@ -26,9 +26,11 @@ grid, a size sweep over 2x2 and 3x3 at one trajectory (the
 ``averaging = time`` batch-means path), ``correlate`` on 6x6, and two lines
 on 4x4 that keep exactly two samples, the fewest a time average takes
 (``--t-total 20 --burn-in 19``): ``correlate`` and a one-trajectory sweep
-over two points. Compares the exit code, stdout and every file written;
-names each command line that differs and exits 1 if any does, or if a
-command fails in both trees.
+over two points. Last, a 4x4 ``run`` and a 2-site ``oracle-check`` at
+gamma * dt = 2.5 * 0.02, exactly ``MAX_JUMP_PROB``, the largest step the
+first-order jump rule accepts. Compares the exit code, stdout and every
+file written; names each command line that differs and exits 1 if any
+does, or if a command fails in both trees.
 
 With ``--record FILE`` it compares nothing: it writes one sha256 per command
 line and output at seed 1, under a header naming the numpy version and the
@@ -96,6 +98,11 @@ def command_lines(seed: int):
     two = ["--width", "4", "--height", "4", "--jy", "1.2", "--t-total", "20", "--burn-in", "19", *tail]
     yield ["correlate", *two]
     yield ["sweep", "--values", "1.2,1.5", "--trajectories", "1", *two]
+    # gamma * dt = 2.5 * 0.02, exactly the accepted maximum, on both trajectory
+    # engines; the last --gamma and --dt win
+    for argv in (["run", "--width", "4", "--height", "4", "--jy", "1.2", "--t-total", "20", "--burn-in", "2"],
+                 ["oracle-check", "--sites", "2", "--jy", "1.2", "--t-total", "5", "--trajectories", "400"]):
+        yield [*argv, *tail, "--gamma", "2.5", "--dt", "0.02"]
 
 
 def shown(argv: list[str]) -> str:
